@@ -16,6 +16,7 @@ from repro.serve.loadgen import plan_requests
 
 __all__ = [
     "SERVE_PLAN_SIZE",
+    "SWEEP_HEAVY_BATCH",
     "advise_specs",
     "sweep_batches",
     "serve_plan",
@@ -28,9 +29,11 @@ ADVISE_N = 2048
 #: The sweep set: batches x matrices per batch.
 SWEEP_BATCHES = 10
 SWEEP_BATCH_SIZE = 10
+#: The batch of the largest matrices (n 55-127): ``heavy_p50_ms`` on
+#: sweep-checkpoint times its checkpointed sweep alone.
+SWEEP_HEAVY_BATCH = 7
 
-#: Serve requests planned up front.  Plans are prefix-stable, so a
-#: run that sends more extends the plan without changing what it sent.
+#: Serve requests planned up front; a run that sends more starts over.
 SERVE_PLAN_SIZE = 30_000
 
 

@@ -33,9 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 3
-#: Client connections / server threads each workload uses by default.
-DEFAULT_PARALLELISM = 2
+SETUP_REPEATS = 5
 
 
 def nproc() -> int:
@@ -49,57 +47,45 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--clients", type=int, default=None,
-                        help="closed-loop serve clients (default: "
-                             "min(2, nproc))")
-    parser.add_argument("--server-threads", type=int, default=None,
-                        help="serve compute threads, max_inflight "
-                             "(default: min(2, nproc))")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be > 0")
-    cap = nproc()
-    serve = args.workload == "serve-mixed"
-    if args.clients is None:
-        args.clients = min(DEFAULT_PARALLELISM, cap) if serve else 1
-    if args.server_threads is None:
-        args.server_threads = min(DEFAULT_PARALLELISM, cap) if serve else 0
-    if not serve and (args.clients, args.server_threads) != (1, 0):
-        parser.error(f"{args.workload} runs one caller and no server")
-    if args.clients < 1 or args.server_threads < 0:
-        parser.error("--clients must be >= 1, --server-threads >= 0")
-    if args.clients > cap or args.server_threads > cap:
-        parser.error(
-            f"refusing to start: {args.clients} clients and "
-            f"{args.server_threads} server threads, but nproc is {cap}; "
-            "this benchmark claims no parallel scaling"
-        )
     return args
 
 
 # ----------------------------------------------------------------------
-def tail(values: list[float]) -> tuple[float, float]:
-    """The highest percentile with at least ten samples above it,
-    as (value, percentile); the maximum when there are fewer than 11."""
-    ordered = sorted(values)
-    index = len(ordered) - (11 if len(ordered) >= 11 else 1)
-    return ordered[index], 100.0 * (index + 1) / len(ordered)
+def end_to_end(workload, phase, setup_s: float, rss_mb: float,
+               wrong: int) -> tuple:
+    """The end-to-end metrics, times scaled to the reference speed.
 
-
-def end_to_end(phase, setup_s: float, rss_mb: float, wrong: int) -> tuple:
-    """The end-to-end metrics, times scaled to the reference speed."""
+    ``tail_ms`` is a fixed nearest-rank percentile of one latency class,
+    both set by the workload (``workload.tail``), so its meaning does
+    not depend on how many operations fit in the run.  With a window,
+    it is the median of that percentile over consecutive windows of
+    that many samples (all samples when there are fewer).
+    """
     from repro.serve.loadgen import percentile
+
+    tail_class, tail_pct, window = workload.tail
+
+    def tail(values: list[float]) -> float:
+        if window is None or len(values) < window:
+            return percentile(values, tail_pct)
+        return statistics.median(
+            percentile(values[i:i + window], tail_pct)
+            for i in range(0, len(values) - window + 1, window)
+        )
 
     def timings(latencies: dict, work_s: float) -> dict:
         ms = {
             kind: [s * 1000.0 for s in latencies.get(kind, ())]
-            for kind in ("primary", "light", "heavy")
+            for kind in ("primary", "light", "heavy", tail_class)
         }
         if not all(ms.values()):
             raise RuntimeError("a latency class got no samples; run longer")
         return {
             "p50_ms": (percentile(ms["primary"], 50), "ms"),
-            "tail_ms": (tail(ms["primary"])[0], "ms"),
+            "tail_ms": (tail(ms[tail_class]), "ms"),
             "throughput_per_s": (phase.work / work_s, "1/s"),
             "light_p50_ms": (percentile(ms["light"], 50), "ms"),
             "heavy_p50_ms": (percentile(ms["heavy"], 50), "ms"),
@@ -114,7 +100,12 @@ def end_to_end(phase, setup_s: float, rss_mb: float, wrong: int) -> tuple:
     }
     unscaled = timings(phase.unscaled, phase.unscaled_work_s)
     notes = {
-        "tail_percentile": tail(phase.latencies["primary"])[1],
+        "tail": {
+            "class": tail_class,
+            "percentile": tail_pct,
+            "window": window,
+            "samples": len(phase.latencies[tail_class]),
+        },
         "samples": {k: len(v) for k, v in phase.latencies.items()},
         "speed": phase.speed(),
         "probes": len(phase.probe_s),
@@ -213,7 +204,7 @@ def _serve_layers(traced, total_s, ops, speed: float) -> dict:
     }
 
 
-def environment(args) -> dict:
+def environment(workload) -> dict:
     import numpy
 
     return {
@@ -223,8 +214,8 @@ def environment(args) -> dict:
         "numpy": numpy.__version__,
         "platform": platform.platform(),
         "load": "closed loop",
-        "clients": args.clients,
-        "server_threads": args.server_threads,
+        "clients": workload.clients,
+        "server_threads": workload.server_threads,
     }
 
 
@@ -240,11 +231,11 @@ def timed_import() -> float:
     return time.perf_counter() - started
 
 
-def measure(workload, seconds: float, tracer=None):
+def measure(workload, seconds: float):
     """Time the workload, starting from a clean garbage-collector state
     so set-up garbage is not collected inside the timed loop."""
     gc.collect()
-    return workload.measure(seconds, tracer)
+    return workload.measure(seconds)
 
 
 # ----------------------------------------------------------------------
@@ -255,22 +246,37 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    import_s = statistics.median(
-        timed_import() for _ in range(SETUP_REPEATS)
-    )
     import workloads  # imports the program
     from inputs import recipe_digest
 
-    workload = workloads.WORKLOADS[args.workload](
-        args.seed, args.clients, args.server_threads
-    )
+    kind = workloads.WORKLOADS[args.workload]
+    if max(kind.clients, kind.server_threads) > nproc():
+        print(
+            f"error: refusing to start {args.workload}: it runs "
+            f"{kind.clients} clients and {kind.server_threads} server "
+            f"threads, but nproc is {nproc()}; this benchmark claims no "
+            "parallel scaling", file=sys.stderr,
+        )
+        return 2
+    # Set-up is timed like the operations: scaled by the speed probe,
+    # sampled between the repetitions.
+    probes = [workloads.probe_sample()]
+    imports = []
+    for _ in range(SETUP_REPEATS):
+        imports.append(timed_import())
+        probes.append(workloads.probe_sample())
+    workload = kind(args.seed)
     try:
         setups = []
         for _ in range(SETUP_REPEATS):
             t0 = time.perf_counter()
             workload.setup()
             setups.append(time.perf_counter() - t0)
-        setup_s = import_s + statistics.median(setups)
+            probes.append(workloads.probe_sample())
+        setup_unscaled_s = statistics.median(imports) + statistics.median(
+            setups)
+        setup_speed = workloads.PROBE_REF_S / statistics.median(probes)
+        setup_s = setup_unscaled_s * setup_speed
         if args.trace:
             from tracing import Instrument, Tracer
 
@@ -278,7 +284,7 @@ def main(argv: list[str]) -> int:
             untraced = measure(workload, half)
             tracer = Tracer()
             with Instrument(tracer):
-                traced = measure(workload, half, tracer)
+                traced = measure(workload, half)
             tracer.write(workloads.WORK_DIR / (
                 f"trace-{args.workload}-seed{args.seed}.jsonl"))
             wrong = workload.verify()
@@ -290,10 +296,13 @@ def main(argv: list[str]) -> int:
             rss_mb = resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0
             wrong = workload.verify()
-            metrics, failed, notes = end_to_end(phase, setup_s, rss_mb, wrong)
+            metrics, failed, notes = end_to_end(
+                workload, phase, setup_s, rss_mb, wrong)
             attempted = phase.attempted
     finally:
         workload.close()
+    notes["setup_unscaled_s"] = setup_unscaled_s
+    notes["setup_speed"] = setup_speed
 
     report = {
         "workload": args.workload,
@@ -301,7 +310,7 @@ def main(argv: list[str]) -> int:
         "seconds": args.seconds,
         "trace": args.trace,
         "recipe_digest": recipe_digest(args.workload, args.seed),
-        "environment": environment(args),
+        "environment": environment(workload),
         "notes": notes,
         "metrics": {k: {"value": v, "unit": u}
                     for k, (v, u) in metrics.items()},

@@ -12,7 +12,9 @@ A span's parent is the innermost span open in the same context
 executor threads nest correctly.  A span opened with no parent starts
 a new operation unless ``op_of`` links it to one (the serve wrappers
 link a request's parse and backend spans through the ``Query`` object
-they share).
+they share).  On the server an operation therefore covers the
+server-side handling of one request; the client side of a request is
+not a span, its latency is in the workload's timings.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class Tracer:
         if after is not None:
             after(args, result, op_id)
         return result
-
-    def record(self, name: str, start: float, end: float, op: str) -> None:
-        """Add a root span timed by the caller (asyncio client requests)."""
-        self.spans.append((next(self._span_ids), name, start, end, 0, op))
 
     def write(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

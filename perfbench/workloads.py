@@ -2,9 +2,14 @@
 
 Each workload class has the same shape:
 
+* ``clients`` / ``server_threads`` — the fixed closed-loop callers and
+  server compute threads it runs; the runner refuses to start when
+  either exceeds nproc;
+* ``tail`` — (latency class, percentile, window) that ``tail_ms``
+  reports;
 * ``setup()`` — generate the seeded inputs and warm up; repeated by
   the runner so set-up time is a median;
-* ``measure(seconds, tracer=None)`` — a closed loop for ``seconds``
+* ``measure(seconds)`` — a closed loop for ``seconds``
   returning a :class:`Phase`;
 * ``verify()`` — the output checks, run after the timed loop; returns
   the number of operations whose output was wrong;
@@ -39,7 +44,12 @@ from repro.partition import profile_table
 from repro.serve import CharacterizationServer, SweepBackend, parse_query
 from repro.serve.loadgen import fetch_metrics, http_request
 
-from inputs import SERVE_PLAN_SIZE, advise_specs, serve_plan, sweep_batches
+from inputs import (
+    SWEEP_HEAVY_BATCH,
+    advise_specs,
+    serve_plan,
+    sweep_batches,
+)
 
 __all__ = ["WORKLOADS", "Phase"]
 
@@ -53,23 +63,35 @@ WORK_DIR = Path(".perfbench")
 
 #: Fixed work whose duration tracks the machine's current speed: the
 #: kinds of work the program does — a numpy sort-unique (profiling), a
-#: pure-Python loop (the engine) and pickle + zlib (checkpoints).
+#: pure-Python loop (the engine), building and sorting a dict of small
+#: objects (request handling, outcome assembly) and pickle + zlib
+#: (checkpoints).  Without the dict part, slow stretches of the machine
+#: slowed serve-mixed more than the probe.
 _PROBE_KEYS = np.random.default_rng(0).integers(0, 1 << 20, 20_000)
 _PROBE_ROWS = [(i, f"cell-{i}", i * 0.5) for i in range(1_500)]
 PROBE_REPEATS = 3
 #: Seconds of timed loop between two probe samples at most.
 PROBE_INTERVAL_S = 1.0
 #: The probe's duration at the reference machine speed.  Each timed
-#: operation is scaled by ``PROBE_REF_S / (the latest probe sample)``.
-PROBE_REF_S = 0.0065
+#: operation is scaled by ``PROBE_REF_S / (median of the latest
+#: PROBE_WINDOW probe samples)``: one sample varies by about 10%, which
+#: scaled single operations apart and widened the tails.
+PROBE_REF_S = 0.015
+PROBE_WINDOW = 5
 
 
 def probe_once() -> float:
     started = time.perf_counter()
     np.unique(_PROBE_KEYS)
     sum(i * i for i in range(10_000))
+    sorted({f"k{i}": (i, i * 0.5) for i in range(20_000)})
     zlib.compress(pickle.dumps(_PROBE_ROWS))
     return time.perf_counter() - started
+
+
+def probe_sample() -> float:
+    """One speed-probe sample: the median of ``PROBE_REPEATS`` runs."""
+    return statistics.median(probe_once() for _ in range(PROBE_REPEATS))
 
 
 @dataclass
@@ -116,11 +138,10 @@ class Phase:
     def probe(self, force: bool = False) -> None:
         """Sample the machine's speed if a probe interval has passed."""
         if force or time.perf_counter() >= self._next_probe:
-            sample = statistics.median(
-                probe_once() for _ in range(PROBE_REPEATS)
+            self.probe_s.append(probe_sample())
+            self.scale = PROBE_REF_S / statistics.median(
+                self.probe_s[-PROBE_WINDOW:]
             )
-            self.probe_s.append(sample)
-            self.scale = PROBE_REF_S / sample
             self._next_probe = time.perf_counter() + PROBE_INTERVAL_S
 
 
@@ -143,8 +164,12 @@ class AdviseExact:
     """Exact advise on n=2048 ``lat-*`` matrices, cache cold per call."""
 
     name = "advise-exact"
+    clients, server_threads = 1, 0
+    #: The three shapes take very different times, so a tail over all
+    #: calls would pick its shape by the number of rounds in the run.
+    tail = ("heavy", 90, None)
 
-    def __init__(self, seed: int, clients: int, server_threads: int):
+    def __init__(self, seed: int):
         self.seed = seed
         self.round: list = []
         #: spec name -> answer digests, one per completed call.
@@ -156,7 +181,7 @@ class AdviseExact:
         outcome = SweepRunner(error_policy="fail_fast").run_grid([warm])
         recommend.recommend_from_results(outcome.results)
 
-    def measure(self, seconds: float, tracer=None) -> Phase:
+    def measure(self, seconds: float) -> Phase:
         phase = Phase()
         deadline = time.perf_counter() + seconds
         while True:  # whole rounds, so each shape is sampled equally
@@ -228,8 +253,10 @@ class SweepCheckpoint:
     """Checkpointed sweeps of small matrices, then full-replay resumes."""
 
     name = "sweep-checkpoint"
+    clients, server_threads = 1, 0
+    tail = ("primary", 90, None)
 
-    def __init__(self, seed: int, clients: int, server_threads: int):
+    def __init__(self, seed: int):
         self.seed = seed
         self.batches: list = []
         self.workdir = WORK_DIR / f"sweep-{seed}"
@@ -265,7 +292,9 @@ class SweepCheckpoint:
         if phase is not None:
             phase.attempted += 2
             phase.failed += 0 if ok else 2
-            phase.add(("primary", "heavy"), t1 - t0)
+            kinds = ("primary", "heavy") if b == SWEEP_HEAVY_BATCH else (
+                "primary",)
+            phase.add(kinds, t1 - t0)
             phase.add(("light",), t3 - t2)
             phase.add_work(cells, t1 - t0)
             phase.extra["checkpoint_bytes"] = (
@@ -287,7 +316,7 @@ class SweepCheckpoint:
         self._pass(-1, warm, None)
         self.seen.pop(-1, None)
 
-    def measure(self, seconds: float, tracer=None) -> Phase:
+    def measure(self, seconds: float) -> Phase:
         phase = Phase()
         deadline = time.perf_counter() + seconds
         while time.perf_counter() < deadline:
@@ -309,6 +338,10 @@ class SweepCheckpoint:
 
 
 # ----------------------------------------------------------------------
+def _body_hash(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=16).digest()
+
+
 #: A query the seeded plan never sends (n below the plan's range).
 _WARM_QUERY = {
     "workload": {"kind": "random", "n": 40, "density": 0.1, "seed": 1},
@@ -321,15 +354,18 @@ class ServeMixed:
     """In-process guarded server under a closed loop of clients."""
 
     name = "serve-mixed"
+    clients, server_threads = 2, 2
+    #: p99 per 2,000 requests has 20 samples above it; the median over
+    #: windows keeps a stretch of machine noise from setting the value.
+    tail = ("primary", 99, 2000)
 
-    def __init__(self, seed: int, clients: int, server_threads: int):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.clients = clients
-        self.server_threads = server_threads
         #: (endpoint, request body) pairs: atomic tuples the garbage
         #: collector stops tracking, so the plan adds no GC pause time.
         self.plan: list[tuple[str, bytes]] = []
-        #: digest -> (endpoint, request body, first response body).
+        #: digest -> (endpoint, request body, hash of the first response
+        #: body); hashes keep the benchmark's own memory small.
         self.bodies: dict[str, tuple[str, bytes, bytes]] = {}
         self.responses: Counter = Counter()
         self.mismatches: Counter = Counter()
@@ -356,20 +392,17 @@ class ServeMixed:
         server = await self._start()
         await server.aclose()
 
-    def _plan(self, size: int) -> None:
+    def setup(self) -> None:
         self.plan = [
             (request.endpoint, request.body())
-            for request in serve_plan(self.seed, size)
+            for request in serve_plan(self.seed)
         ]
-
-    def setup(self) -> None:
-        self._plan(SERVE_PLAN_SIZE)
         asyncio.run(self._setup_once())
 
-    def measure(self, seconds: float, tracer=None) -> Phase:
-        return asyncio.run(self._measure(seconds, tracer))
+    def measure(self, seconds: float) -> Phase:
+        return asyncio.run(self._measure(seconds))
 
-    async def _measure(self, seconds: float, tracer) -> Phase:
+    async def _measure(self, seconds: float) -> Phase:
         server = await self._start()
         phase = Phase()
         try:
@@ -380,11 +413,11 @@ class ServeMixed:
 
             async def client(slice_end: float) -> None:
                 while time.perf_counter() < slice_end:
-                    index = next(indices)
-                    if index == len(self.plan):
-                        self._plan(2 * index)
+                    # A fast run starts the plan over; by then the LRU
+                    # cache has evicted its unique computes, so the mix
+                    # is unchanged and memory does not grow with speed.
+                    index = next(indices) % len(self.plan)
                     endpoint, request = self.plan[index]
-                    op = tracer.new_op() if tracer is not None else ""
                     phase.attempted += 1
                     t0 = time.perf_counter()
                     try:
@@ -396,8 +429,6 @@ class ServeMixed:
                         phase.failed += 1
                         continue
                     t1 = time.perf_counter()
-                    if tracer is not None:
-                        tracer.record("bench.request", t0, t1, op)
                     if status != 200:
                         phase.failed += 1
                         if status in (429, 503):
@@ -411,11 +442,12 @@ class ServeMixed:
                         t1 - t0,
                     )
                     digest = headers.get("x-copernicus-digest", "")
+                    body_hash = _body_hash(body)
                     first = self.bodies.setdefault(
-                        digest, (endpoint, request, body)
+                        digest, (endpoint, request, body_hash)
                     )
                     self.responses[digest] += 1
-                    self.mismatches[digest] += first[2] != body
+                    self.mismatches[digest] += first[2] != body_hash
 
             # Slices of the closed loop; the speed probe runs between
             # them, when no request is in flight.
@@ -441,11 +473,11 @@ class ServeMixed:
         """Each response body must equal the backend's own bytes."""
         backend = SweepBackend()
         wrong = 0
-        for digest, (endpoint, request, body) in self.bodies.items():
+        for digest, (endpoint, request, body_hash) in self.bodies.items():
             expected = backend.execute_bytes(
                 parse_query(endpoint, json.loads(request))
             )
-            if not digest or body != expected:
+            if not digest or body_hash != _body_hash(expected):
                 wrong += self.responses[digest]
             else:
                 wrong += self.mismatches[digest]
