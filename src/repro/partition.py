@@ -6,7 +6,7 @@ tiled into ``p x p`` partitions, all-zero partitions are dropped, and
 each non-zero partition is compressed and streamed independently
 (Section 4.1).  ``p`` (8, 16 or 32) is the main hyperparameter.
 
-Two views of the same tiling are provided:
+Three views of the same tiling are provided:
 
 * :func:`partition_matrix` materializes each non-zero tile as a
   :class:`~repro.matrix.SparseMatrix` — exact, used by functional SpMV,
@@ -279,30 +279,60 @@ def reassemble(
     return SparseMatrix(shape, all_rows[keep], all_cols[keep], all_vals[keep])
 
 
-def _group_max_counts(
-    group_ids: np.ndarray, inner_keys: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Per group: the largest multiplicity of any inner key.
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal consecutive ``keys`` tuples starts."""
+    new_run = np.zeros(keys[0].size, dtype=bool)
+    new_run[0] = True
+    for key in keys:
+        new_run[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new_run)
 
-    ``group_ids`` are dense ints in ``[0, n_groups)``; ``inner_keys``
-    distinguish members within a group (e.g. local row index).
+
+def _tile_order(
+    matrix: SparseMatrix, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries sorted by tile: ``(nnz per tile, tile, local row, local col)``.
+
+    ``tile`` is the dense index of each entry's tile in grid order.
+    SparseMatrix is canonical (row-major), so the stable sort by tile id
+    leaves each tile's entries in (local row, local col) order: tiles,
+    rows and block-rows become contiguous runs.
     """
-    combined = group_ids * np.int64(2**32) + inner_keys
-    unique_combined, counts = np.unique(combined, return_counts=True)
-    owner = (unique_combined // np.int64(2**32)).astype(np.int64)
-    result = np.zeros(n_groups, dtype=np.int64)
-    np.maximum.at(result, owner, counts)
-    return result
+    grid_cols = grid_shape(matrix.shape, p)[1]
+    pid = (matrix.rows // p) * grid_cols + matrix.cols // p
+    order = np.argsort(pid, kind="stable")
+    nnz = np.diff(np.append(_run_starts(pid[order]), pid.size))
+    tile = np.repeat(np.arange(nnz.size), nnz)
+    return nnz, tile, matrix.rows[order] % p, matrix.cols[order] % p
 
 
-def _group_unique_counts(
-    group_ids: np.ndarray, inner_keys: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Per group: the number of distinct inner keys."""
-    combined = group_ids * np.int64(2**32) + inner_keys
-    unique_combined = np.unique(combined)
-    owner = (unique_combined // np.int64(2**32)).astype(np.int64)
-    return np.bincount(owner, minlength=n_groups)
+def _distinct_keys(
+    tile: np.ndarray, key: np.ndarray, width: int, n_tiles: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per tile: the distinct values of ``key`` (in ``[0, width)``).
+
+    Returns ``(n_distinct, offsets, keys, counts)``: every distinct
+    ``(tile, key)`` pair in sorted order with its multiplicity, tile
+    ``t``'s pairs starting at ``offsets[t]``.  Every tile holds an
+    entry, so the offsets are valid ``reduceat`` indices.  A dense
+    ``bincount`` counts the pairs when its ``n_tiles * width`` table is
+    no larger than the input; otherwise one plain sort of the combined
+    key does, so working memory stays O(input).
+    """
+    combined = tile * width
+    combined += key
+    if n_tiles * width <= combined.size:
+        counts = np.bincount(combined, minlength=n_tiles * width)
+        distinct = np.flatnonzero(counts)
+        counts = counts[distinct]
+    else:
+        combined.sort()
+        starts = _run_starts(combined)
+        distinct = combined[starts]
+        counts = np.diff(np.append(starts, combined.size))
+    owner, keys = np.divmod(distinct, width)
+    n_distinct = np.bincount(owner, minlength=n_tiles)
+    return n_distinct, np.cumsum(n_distinct) - n_distinct, keys, counts
 
 
 #: 1-D integer columns of a :class:`ProfileTable`, in field order.
@@ -514,7 +544,13 @@ class ProfileTable:
 def profile_table(
     matrix: SparseMatrix, p: int, block_size: int = 4
 ) -> ProfileTable:
-    """Vectorized per-tile statistics, columnar, in grid order."""
+    """Vectorized per-tile statistics, columnar, in grid order.
+
+    One stable sort by tile id, then run boundaries and per-tile key
+    counts; no hash-based ``np.unique``.  Relies on ``matrix`` being
+    canonical (row-major, duplicate-free), which :class:`SparseMatrix`
+    guarantees.
+    """
     _check_partition_size(p)
     if block_size < 1:
         raise PartitionError(f"block_size must be >= 1, got {block_size}")
@@ -526,47 +562,46 @@ def profile_table(
             row_nnz_hist=np.zeros((0, p), dtype=np.int64),
             **{name: empty for name in PROFILE_COLUMNS},
         )
-    grid_cols = grid_shape(matrix.shape, p)[1]
-    pid = (matrix.rows // p) * grid_cols + (matrix.cols // p)
-    tile_ids, dense_pid = np.unique(pid, return_inverse=True)
-    n_tiles = tile_ids.size
+    nnz, tile, local_rows, local_cols = _tile_order(matrix, p)
+    n_tiles = nnz.size
 
-    local_rows = matrix.rows % p
-    local_cols = matrix.cols % p
-    nnz = np.bincount(dense_pid, minlength=n_tiles)
-    nnz_rows = _group_unique_counts(dense_pid, local_rows, n_tiles)
-    nnz_cols = _group_unique_counts(dense_pid, local_cols, n_tiles)
-    max_row = _group_max_counts(dense_pid, local_rows, n_tiles)
-    max_col = _group_max_counts(dense_pid, local_cols, n_tiles)
-
-    block_cols_per_tile = -(-p // block_size)
-    block_key = (
-        (local_rows // block_size) * block_cols_per_tile
-        + (local_cols // block_size)
+    # rows and block-rows are contiguous runs in tile order
+    row_starts = _run_starts(tile, local_rows)
+    row_len = np.diff(np.append(row_starts, tile.size))
+    row_tile = tile[row_starts]
+    nnz_rows = np.bincount(row_tile, minlength=n_tiles)
+    max_row = np.maximum.reduceat(row_len, np.cumsum(nnz_rows) - nnz_rows)
+    hist_matrix = np.bincount(
+        row_tile * p + (row_len - 1), minlength=n_tiles * p
+    ).reshape(n_tiles, p)
+    block_row_starts = _run_starts(
+        row_tile, local_rows[row_starts] // block_size
     )
-    n_blocks = _group_unique_counts(dense_pid, block_key, n_tiles)
-    nnz_block_rows = _group_unique_counts(
-        dense_pid, local_rows // block_size, n_tiles
+    nnz_block_rows = np.bincount(
+        row_tile[block_row_starts], minlength=n_tiles
     )
+    # free the per-row arrays before the key counts peak
+    del row_starts, row_len, row_tile, block_row_starts
 
-    diag = local_cols - local_rows + p  # shift into [1, 2p-1] (>= 0)
-    diag_pairs = np.unique(dense_pid * np.int64(2**32) + diag)
-    diag_owner = (diag_pairs // np.int64(2**32)).astype(np.int64)
-    diag_offset = (diag_pairs % np.int64(2**32)).astype(np.int64) - p
-    # per-(tile, row) entry counts -> per-tile row-length histogram.
-    combined_rows = dense_pid * np.int64(2**32) + local_rows
-    unique_pairs, pair_counts = np.unique(combined_rows, return_counts=True)
-    pair_owner = (unique_pairs // np.int64(2**32)).astype(np.int64)
-    hist_matrix = np.zeros((n_tiles, p), dtype=np.int64)
-    np.add.at(hist_matrix, (pair_owner, pair_counts - 1), 1)
-
-    n_diagonals = np.bincount(diag_owner, minlength=n_tiles)
-    diag_lengths = p - np.abs(diag_offset)
-    stored = np.zeros(n_tiles, dtype=np.int64)
-    np.add.at(stored, diag_owner, diag_lengths)
-    longest = np.zeros(n_tiles, dtype=np.int64)
-    np.maximum.at(longest, diag_owner, diag_lengths)
-
+    # columns, blocks and diagonals are not: count their distinct keys
+    nnz_cols, offsets, _, counts = _distinct_keys(
+        tile, local_cols, p, n_tiles
+    )
+    max_col = np.maximum.reduceat(counts, offsets)
+    block_cols = -(-p // block_size)
+    n_blocks = _distinct_keys(
+        tile,
+        (local_rows // block_size) * block_cols + local_cols // block_size,
+        block_cols * block_cols,
+        n_tiles,
+    )[0]
+    # diagonal offsets shifted into [0, 2p-1)
+    n_diagonals, offsets, diagonals, _ = _distinct_keys(
+        tile, local_cols - local_rows + (p - 1), 2 * p - 1, n_tiles
+    )
+    diag_lengths = p - np.abs(diagonals - (p - 1))
+    stored = np.add.reduceat(diag_lengths, offsets)
+    longest = np.maximum.reduceat(diag_lengths, offsets)
     return ProfileTable(
         p=p,
         block_size=block_size,
@@ -748,10 +783,10 @@ class ProfileAccumulator:
                 **{name: empty for name in PROFILE_COLUMNS},
             )
         # every non-empty tile has at least one (tile, row) pair, so
-        # the row keys enumerate the tile ids — ascending, exactly the
-        # np.unique(pid) grid order profile_table uses
+        # the sorted row keys enumerate the tile ids in runs — ascending,
+        # exactly the grid order profile_table uses
         row_owner_ids = self._row_keys // np.int64(2**32)
-        tile_ids = np.unique(row_owner_ids)
+        tile_ids = row_owner_ids[_run_starts(row_owner_ids)]
         n_tiles = tile_ids.size
 
         def dense(keys: np.ndarray) -> np.ndarray:

@@ -74,16 +74,75 @@ class TestPartitionMatrix:
         assert sum(p.nnz for p in parts) == matrix.nnz
 
 
+#: Partition and block sizes the vectorized oracle tests cover.
+ORACLE_PARTITION_SIZES = (1, 3, 4, 8, 16, 32)
+ORACLE_BLOCK_SIZES = (1, 2, 3, 4, 5)
+
+
+def assert_matches_reference(matrix: SparseMatrix, p: int) -> None:
+    """profile_table agrees with the per-tile reference at every b."""
+    tiles = partition_matrix(matrix, p)
+    for block_size in ORACLE_BLOCK_SIZES:
+        table = profile_table(matrix, p, block_size=block_size)
+        assert len(table) == len(tiles)
+        for profile, tile in zip(table.profiles(), tiles):
+            expected = PartitionProfile.of_block(
+                tile.block, p, block_size=block_size
+            )
+            assert profile == expected, (p, block_size, tile.grid_row,
+                                         tile.grid_col)
+
+
 class TestProfiles:
-    @pytest.mark.parametrize("p", [4, 8, 16])
+    @pytest.mark.parametrize("p", ORACLE_PARTITION_SIZES)
     def test_vectorized_matches_reference(self, p, corpus_matrix):
-        """profile_partitions must agree with the per-tile reference."""
-        profiles = profile_partitions(corpus_matrix, p)
-        tiles = partition_matrix(corpus_matrix, p)
-        assert len(profiles) == len(tiles)
-        for profile, tile in zip(profiles, tiles):
-            expected = PartitionProfile.of_block(tile.block, p)
-            assert profile == expected
+        """profile_table must agree with the per-tile reference."""
+        assert_matches_reference(corpus_matrix, p)
+
+    @pytest.mark.parametrize("p", ORACLE_PARTITION_SIZES)
+    def test_hypersparse_matches_reference(self, p):
+        # exactly one entry in every tile of a 5 x 4 grid, placed at a
+        # different local (row, col) per tile
+        grid_rows, grid_cols = 5, 4
+        tile_row, tile_col = np.divmod(np.arange(grid_rows * grid_cols),
+                                       grid_cols)
+        local = np.arange(tile_row.size) % p
+        matrix = SparseMatrix(
+            (grid_rows * p, grid_cols * p),
+            tile_row * p + local,
+            tile_col * p + (p - 1 - local),
+            np.arange(1.0, tile_row.size + 1),
+        )
+        assert len(profile_table(matrix, p)) == grid_rows * grid_cols
+        assert_matches_reference(matrix, p)
+
+    @pytest.mark.parametrize("p", [3, 4, 8, 16, 32])
+    def test_ragged_shape_matches_reference(self, p):
+        # neither dimension is a multiple of p; the corner entry lands
+        # in the clipped last tile
+        shape = (3 * p + 1, 2 * p + p // 2 + 1)
+        corner = SparseMatrix(shape, [shape[0] - 1], [shape[1] - 1], [1.0])
+        matrix = random_matrix(shape[0], 0.3, seed=p, n_cols=shape[1])
+        assert_matches_reference(matrix.add(corner), p)
+
+    @pytest.mark.parametrize("p", [3, 8, 16])
+    def test_shuffled_triplets_match_reference(self, p):
+        """Entry order in the input never reaches the profile.
+
+        profile_table's stable sort by tile id relies on SparseMatrix
+        storing entries row-major; build from shuffled triplets and
+        check both that order and the profiles.
+        """
+        ordered = random_matrix(5 * p + 2, 0.25, seed=11)
+        triplets = list(zip(ordered.rows, ordered.cols, ordered.vals))
+        shuffled = np.random.default_rng(p).permutation(len(triplets))
+        matrix = SparseMatrix.from_triplets(
+            ordered.shape, [triplets[i] for i in shuffled]
+        )
+        keys = matrix.rows * matrix.shape[1] + matrix.cols
+        assert np.all(np.diff(keys) > 0)
+        assert matrix == ordered
+        assert_matches_reference(matrix, p)
 
     def test_identity_profiles(self):
         profiles = profile_partitions(SparseMatrix.identity(32), 16)
