@@ -898,20 +898,11 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
     from .guard import GuardPolicy, SandboxLimits
 
-    # the CLI server is the one that faces real clients, so the guard
-    # layer (breaker + sandbox) is armed unless explicitly disabled;
-    # shedding additionally needs an SLO threshold to act on
-    guard_policy = None
-    if not args.no_guard:
-        guard_policy = GuardPolicy(
-            breaker_threshold=args.breaker_threshold,
-            breaker_recovery_s=args.breaker_recovery,
-            breaker_probes=args.breaker_probes,
-            shed_p99_ms=args.shed_p99_ms,
-            shed_queue_depth=args.shed_queue_depth,
-            shed_retry_after_s=args.shed_retry_after,
-            cheap_lane_width=args.cheap_lane_width,
-        )
+    guard_policy = GuardPolicy(
+        breaker_threshold=args.breaker_threshold,
+        breaker_recovery_s=args.breaker_recovery,
+        shed_p99_ms=args.shed_p99_ms,
+    )
     sandbox_limits = SandboxLimits(
         wall_s=args.sandbox_wall_s,
         rss_mb=args.sandbox_rss_mb,
@@ -935,19 +926,11 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             sandbox_limits=sandbox_limits,
         )
         await server.start()
-        shedding = guard_policy is not None and (
-            guard_policy.shed_p99_ms is not None
-            or guard_policy.shed_queue_depth is not None
-        )
-        guard_state = (
-            "off" if guard_policy is None
-            else "breaker+shedding" if shedding
-            else "breaker"
-        )
+        shedding = "+shedding" if args.shed_p99_ms is not None else ""
         print(
             f"serving on http://{server.host}:{server.port}  "
             "(POST /characterize, POST /advise, GET /metrics, "
-            f"GET /healthz; guard: {guard_state}; "
+            f"GET /healthz; guard: breaker{shedding}; "
             "SIGTERM/Ctrl-C drains and stops)",
             flush=True,
         )
@@ -1010,19 +993,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
         server = None
         host, port = args.host, args.port
         if args.spawn:
-            guard_policy = None
-            if args.mix == "hostile":
-                # hostile traffic against an unguarded private server
-                # would just measure the absence of the defense line
-                from .guard import GuardPolicy
-
-                guard_policy = GuardPolicy()
             server = CharacterizationServer(
                 host,
                 0,
                 max_inflight=args.max_inflight,
                 budget_s=args.budget_s,
-                guard_policy=guard_policy,
             )
             await server.start()
             port = server.port
@@ -1786,12 +1761,6 @@ def build_parser() -> argparse.ArgumentParser:
         "graceful shutdown (atomic write)",
     )
     serve.add_argument(
-        "--no-guard", action="store_true",
-        help="disable the overload-protection layer (per-route "
-        "circuit breakers, priority shedding, bulkhead lanes); "
-        "untrusted 'mtx' workloads stay sandboxed regardless",
-    )
-    serve.add_argument(
         "--breaker-threshold", type=int, default=5, metavar="N",
         help="consecutive backend failures before a route's breaker "
         "opens and answers 503 immediately (default 5)",
@@ -1799,34 +1768,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--breaker-recovery", type=float, default=5.0,
         metavar="SECONDS",
-        help="seconds an open breaker waits before letting probe "
-        "requests through (default 5)",
-    )
-    serve.add_argument(
-        "--breaker-probes", type=int, default=1, metavar="N",
-        help="concurrent probes a half-open breaker admits "
-        "(default 1)",
+        help="seconds an open breaker waits before letting one probe "
+        "request through (default 5)",
     )
     serve.add_argument(
         "--shed-p99-ms", type=float, default=None, metavar="MS",
         help="rolling-window p99 latency SLO; over it, low-priority "
         "requests are shed with 503 + Retry-After, at 2x also "
-        "normal-priority (default: shedding by latency off)",
-    )
-    serve.add_argument(
-        "--shed-queue-depth", type=int, default=None, metavar="N",
-        help="queue depth beyond which low-priority requests are "
-        "shed (default: shedding by depth off)",
-    )
-    serve.add_argument(
-        "--shed-retry-after", type=float, default=1.0,
-        metavar="SECONDS",
-        help="Retry-After hint on shed responses (default 1)",
-    )
-    serve.add_argument(
-        "--cheap-lane-width", type=int, default=2, metavar="N",
-        help="threads in the cheap bulkhead lane serving advisor "
-        "fast-path answers and sandbox gating (default 2)",
+        "normal-priority (default: shedding off)",
     )
     serve.add_argument(
         "--sandbox-wall-s", type=float, default=10.0,

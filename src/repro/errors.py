@@ -257,10 +257,14 @@ class ServeError(CopernicusError):
     raised error to a structured JSON response without inspecting
     types, and so the taxonomy doubles as the wire contract: the
     ``error.type`` field of a ``serve/v1`` error payload is the
-    exception class name.
+    exception class name.  Refusals (429 and the 503s) also carry
+    ``retry_after_s``, which the server renders as ``Retry-After``.
     """
 
     status: int = 500
+    #: Seconds a refused client should wait; ``None`` for errors that
+    #: are not refusals (no ``Retry-After`` header).
+    retry_after_s: "float | None" = None
 
 
 class ServeRequestError(ServeError):
@@ -273,6 +277,7 @@ class ServeOverloadedError(ServeError):
     """Admission control rejected the request (queue full)."""
 
     status = 429
+    retry_after_s = 1.0
 
 
 class ServeBudgetError(ServeError):
@@ -290,6 +295,7 @@ class ServeDrainingError(ServeError):
     """
 
     status = 503
+    retry_after_s = 1.0
 
 
 class ServeCircuitOpenError(ServeError):
@@ -305,17 +311,22 @@ class ServeCircuitOpenError(ServeError):
 
     status = 503
 
+    def __init__(self, message: str, retry_after_s: float) -> None:
+        self.retry_after_s = retry_after_s
+        super().__init__(message)
+
 
 class ServeShedError(ServeError):
     """SLO-aware load shedding refused this request.
 
-    Raised when request p99 latency or queue depth has crossed the
-    configured thresholds and this request's priority class is below
-    the current shed line.  Clients retry after ``Retry-After``;
+    Raised when the rolling request p99 latency has crossed the
+    configured SLO and this request's priority class is below the
+    current shed line.  Clients retry after ``Retry-After``;
     higher-priority traffic keeps flowing.
     """
 
     status = 503
+    retry_after_s = 1.0
 
 
 class ServeSandboxError(ServeError):

@@ -309,7 +309,6 @@ async def _hostile_phase(
     server = CharacterizationServer(
         port=0,
         max_inflight=2,
-        guard_policy=GuardPolicy(),
         sandbox_limits=SandboxLimits(wall_s=5.0),
     )
     await server.start()

@@ -6,21 +6,19 @@ so the state machines are testable without sleeping:
 * :class:`CircuitBreaker` — classic closed → open → half-open per
   *route*: after ``failure_threshold`` consecutive backend failures
   the route answers 503 immediately for ``recovery_s`` seconds, then
-  lets a bounded number of probes through; a probe success closes the
-  breaker, a probe failure re-opens it.  Every transition lands in a
-  typed metrics counter
-  (``guard.breaker.<route>.transition.<from>-<to>``).
-* **Bulkheads** — the server separates cheap traffic (cache hits,
-  learned fast-path predictions) from expensive sweep computations
-  with independent executor lanes; :class:`BulkheadStats` is the
-  shared accounting the metrics endpoint exports.
+  lets exactly one probe through; a probe success closes the breaker,
+  a probe failure re-opens it.  Every transition lands in a typed
+  metrics counter (``guard.breaker.<route>.transition.<from>-<to>``).
+* **Bulkheads** — the server separates cheap traffic (learned
+  fast-path predictions, sandbox gating) from expensive sweep
+  computations with independent executor lanes; :class:`BulkheadStats`
+  is the shared accounting the metrics endpoint exports.
 * :class:`LoadShedder` — SLO-aware shedding: a rolling latency window
-  plus the live queue depth decide a *shed line*; requests whose
-  priority falls below the line are refused with 503 + Retry-After
-  while higher classes keep their latency bounded.  Priorities come
-  from the ``X-Copernicus-Priority`` header (:data:`PRIORITIES`;
-  unknown values are treated as ``low``, so a client cannot gain
-  priority by misspelling it).
+  decides a *shed line*; requests whose priority falls below the line
+  are refused with 503 + Retry-After while higher classes keep their
+  latency bounded.  Priorities come from the ``X-Copernicus-Priority``
+  header (:data:`PRIORITIES`; unknown values are treated as ``low``,
+  so a client cannot gain priority by misspelling it).
 
 :class:`GuardPolicy` bundles the tuning knobs the server and CLI
 accept.
@@ -29,7 +27,7 @@ accept.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import GuardError
 from ..observability import NULL_METRICS
@@ -47,9 +45,6 @@ __all__ = [
 #: not send the header is ``normal``; unknown spellings are ``low``.
 PRIORITIES = ("high", "normal", "low")
 
-#: Breaker states.
-_STATES = ("closed", "open", "half-open")
-
 
 def parse_priority(value: "str | None") -> str:
     """Map an ``X-Copernicus-Priority`` header to a priority class."""
@@ -63,19 +58,13 @@ def parse_priority(value: "str | None") -> str:
 class GuardPolicy:
     """Tuning knobs for the serve-side guard layer.
 
-    ``shed_p99_ms``/``shed_queue_depth`` of ``None`` disable that
-    shedding signal; the breaker is always armed once a policy is
-    installed.
+    The breakers are always armed; ``shed_p99_ms`` of ``None`` (the
+    default) turns shedding off.
     """
 
     breaker_threshold: int = 5
     breaker_recovery_s: float = 5.0
-    breaker_probes: int = 1
     shed_p99_ms: "float | None" = None
-    shed_queue_depth: "int | None" = None
-    shed_retry_after_s: float = 1.0
-    #: Thread-pool width of the cheap (fast-path/sandbox) lane.
-    cheap_lane_width: int = 2
 
     def __post_init__(self) -> None:
         if self.breaker_threshold < 1:
@@ -88,31 +77,9 @@ class GuardPolicy:
                 f"breaker_recovery_s must be > 0, got "
                 f"{self.breaker_recovery_s}"
             )
-        if self.breaker_probes < 1:
-            raise GuardError(
-                f"breaker_probes must be >= 1, got {self.breaker_probes}"
-            )
         if self.shed_p99_ms is not None and self.shed_p99_ms <= 0:
             raise GuardError(
                 f"shed_p99_ms must be > 0, got {self.shed_p99_ms}"
-            )
-        if (
-            self.shed_queue_depth is not None
-            and self.shed_queue_depth < 1
-        ):
-            raise GuardError(
-                f"shed_queue_depth must be >= 1, got "
-                f"{self.shed_queue_depth}"
-            )
-        if self.shed_retry_after_s <= 0:
-            raise GuardError(
-                f"shed_retry_after_s must be > 0, got "
-                f"{self.shed_retry_after_s}"
-            )
-        if self.cheap_lane_width < 1:
-            raise GuardError(
-                f"cheap_lane_width must be >= 1, got "
-                f"{self.cheap_lane_width}"
             )
 
 
@@ -129,7 +96,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 5,
         recovery_s: float = 5.0,
-        half_open_probes: int = 1,
         clock=time.monotonic,
         metrics=NULL_METRICS,
     ) -> None:
@@ -142,20 +108,15 @@ class CircuitBreaker:
             raise GuardError(
                 f"recovery_s must be > 0, got {recovery_s}"
             )
-        if half_open_probes < 1:
-            raise GuardError(
-                f"half_open_probes must be >= 1, got {half_open_probes}"
-            )
         self.route = route
         self.failure_threshold = failure_threshold
         self.recovery_s = recovery_s
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._metrics = metrics
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_inflight = 0
+        self._probing = False
         #: Transition counts, keyed ``"closed-open"`` etc.
         self.transitions: dict[str, int] = {}
 
@@ -169,7 +130,7 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.recovery_s
         ):
             self._transition("half-open")
-            self._probes_inflight = 0
+            self._probing = False
         return self._state
 
     def _transition(self, to_state: str) -> None:
@@ -184,24 +145,21 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May a request proceed to the backend right now?
 
-        In ``half-open`` state, at most ``half_open_probes`` callers
-        get a True until one of them reports an outcome.
+        In ``half-open`` state, exactly one caller (the probe) gets a
+        True until it reports an outcome.
         """
         state = self.state
         if state == "closed":
             return True
-        if state == "open":
+        if state == "open" or self._probing:
             return False
-        if self._probes_inflight >= self.half_open_probes:
-            return False
-        self._probes_inflight += 1
+        self._probing = True
         return True
 
     def record_success(self) -> None:
         self._consecutive_failures = 0
         if self.state == "half-open":
             self._transition("closed")
-            self._probes_inflight = 0
 
     def record_failure(self) -> None:
         state = self.state
@@ -209,7 +167,6 @@ class CircuitBreaker:
             # the probe failed: the backend is still sick
             self._transition("open")
             self._opened_at = self._clock()
-            self._probes_inflight = 0
             self._consecutive_failures = 0
             return
         if state == "open":
@@ -264,26 +221,22 @@ class LoadShedder:
     ``observe`` feeds completed-request latencies; ``shed_class``
     answers which priority classes must currently be refused:
 
-    * neither signal tripped → shed nothing;
-    * p99 over threshold *or* queue depth over threshold → shed
-      ``low``;
-    * both signals tripped, or either at twice its threshold → also
-      shed ``normal``.  ``high`` is never shed — that is the bounded
-      p99 the campaign gates.
+    * p99 at or under the threshold → shed nothing;
+    * p99 over the threshold → shed ``low``;
+    * p99 over twice the threshold → also shed ``normal``.  ``high``
+      is never shed — that is the bounded p99 the campaign gates.
     """
 
     def __init__(
         self,
         *,
         p99_threshold_ms: "float | None" = None,
-        queue_depth_threshold: "int | None" = None,
         window: int = 256,
         metrics=NULL_METRICS,
     ) -> None:
         if window < 8:
             raise GuardError(f"window must be >= 8, got {window}")
         self.p99_threshold_ms = p99_threshold_ms
-        self.queue_depth_threshold = queue_depth_threshold
         self.window = window
         self._metrics = metrics
         self._latencies_ms: list[float] = []
@@ -293,10 +246,7 @@ class LoadShedder:
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.p99_threshold_ms is not None
-            or self.queue_depth_threshold is not None
-        )
+        return self.p99_threshold_ms is not None
 
     def observe(self, latency_s: float) -> None:
         """Feed one completed request's wall latency into the window."""
@@ -316,37 +266,19 @@ class LoadShedder:
         rank = max(1, int(0.99 * len(ordered) + 0.9999))
         return ordered[min(rank, len(ordered)) - 1]
 
-    def _pressure(self, queue_depth: int) -> tuple[bool, bool]:
-        """(over-threshold, severely-over) across both signals."""
-        over = severe = False
-        if self.p99_threshold_ms is not None:
-            p99 = self.p99_ms()
-            if p99 > self.p99_threshold_ms:
-                over = True
-            if p99 > 2 * self.p99_threshold_ms:
-                severe = True
-        if self.queue_depth_threshold is not None:
-            if queue_depth > self.queue_depth_threshold:
-                if over:
-                    severe = True  # both signals tripped
-                over = True
-            if queue_depth > 2 * self.queue_depth_threshold:
-                severe = True
-        return over, severe
-
-    def shed_class(self, queue_depth: int) -> "tuple[str, ...]":
+    def shed_class(self) -> "tuple[str, ...]":
         """Priority classes that must be refused right now."""
         if not self.enabled:
             return ()
-        over, severe = self._pressure(queue_depth)
-        if severe:
+        p99 = self.p99_ms()
+        if p99 > 2 * self.p99_threshold_ms:
             return ("normal", "low")
-        if over:
+        if p99 > self.p99_threshold_ms:
             return ("low",)
         return ()
 
-    def should_shed(self, priority: str, queue_depth: int) -> bool:
-        shed = priority in self.shed_class(queue_depth)
+    def should_shed(self, priority: str) -> bool:
+        shed = priority in self.shed_class()
         if shed:
             self.shed_counts[priority] = (
                 self.shed_counts.get(priority, 0) + 1
@@ -358,7 +290,6 @@ class LoadShedder:
         return {
             "enabled": self.enabled,
             "p99_threshold_ms": self.p99_threshold_ms,
-            "queue_depth_threshold": self.queue_depth_threshold,
             "window_p99_ms": self.p99_ms(),
             "window_fill": len(self._latencies_ms),
             "shed_counts": dict(sorted(self.shed_counts.items())),

@@ -26,7 +26,15 @@ The concurrency mechanics, in the order a request meets them:
    computations run concurrently; at most ``queue_limit`` leaders may
    wait for a slot.  Beyond that the server answers ``429`` with a
    structured body instead of building an unbounded backlog.
-5. **Per-request budget** — with ``budget_s`` set, a request that
+5. **Overload guard** (always armed, tuned by
+   :class:`~repro.guard.GuardPolicy`) — a draining server refuses new
+   queries; SLO-aware shedding refuses low-priority work once the
+   rolling p99 crosses ``shed_p99_ms`` (off by default); a per-route
+   circuit breaker answers at once after ``breaker_threshold``
+   consecutive backend failures until one probe succeeds; fast-path
+   and sandbox work run on their own two-thread cheap lane, so they
+   never queue behind sweep computations.
+6. **Per-request budget** — with ``budget_s`` set, a request that
    cannot be answered in time *degrades* instead of hanging: first to
    a fast-path prediction for the full query (margin gating waived —
    an unverified answer beats no answer), then to a cached answer for
@@ -37,14 +45,19 @@ The concurrency mechanics, in the order a request meets them:
    the next asker.  Degraded responses are marked with the
    ``X-Copernicus-Degraded`` header — never in the body, which stays
    byte-identical per digest.
-6. **Telemetry** — every request increments counters and records a
+7. **Telemetry** — every request increments counters and records a
    labelled span in the server's
    :class:`~repro.observability.MetricsRegistry`, exported live at
    ``GET /metrics`` (``metrics/v1``).
 
-Backend failures (including injected faults) surface as structured
-``serve/v1`` error bodies; the connection handler never lets a raw
-traceback reach the wire and the server keeps serving.
+Every query error and refusal is raised — refusals as typed
+:class:`~repro.errors.ServeError` subclasses carrying
+``retry_after_s`` — and rendered in one place (:func:`render_error`):
+a structured ``serve/v1`` body, plus exactly one ``Retry-After``
+header for the refusals (429 queue full; 503 draining, shed or
+breaker open).  The connection handler counts
+``serve.http.<status>`` from the status it writes, never lets a raw
+traceback reach the wire, and keeps serving.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -96,7 +110,7 @@ from .protocol import (
     query_digest,
 )
 
-__all__ = ["CharacterizationServer", "HTTP_REASONS"]
+__all__ = ["CharacterizationServer", "HTTP_REASONS", "render_error"]
 
 #: Reason phrases for the statuses the server emits.
 HTTP_REASONS = {
@@ -122,6 +136,9 @@ READ_TIMEOUT_S = 30.0
 
 #: Spans kept in the live registry (oldest dropped beyond this).
 SPAN_CAP = 2048
+
+#: Thread-pool width of the cheap (fast-path/sandbox) bulkhead lane.
+CHEAP_LANE_WIDTH = 2
 
 
 class _ProtocolError(ServeError):
@@ -169,19 +186,15 @@ class CharacterizationServer:
         Relative best-vs-runner-up gap below which a fast prediction
         is not trusted and the exact path answers instead.
     guard_policy:
-        Optional :class:`~repro.guard.GuardPolicy` arming the overload
-        defenses: per-route circuit breakers, SLO-aware priority load
-        shedding (from the ``X-Copernicus-Priority`` header), and a
-        separate cheap-lane executor bulkheading fast-path/sandbox
-        work away from sweep computations.  ``None`` (the default)
-        keeps the legacy behavior — no breakers, no shedding, one
-        executor.
+        :class:`~repro.guard.GuardPolicy` tuning the always-armed
+        overload guard: the per-route circuit breakers' threshold and
+        recovery window, and the p99 SLO for priority load shedding
+        (from the ``X-Copernicus-Priority`` header; off unless
+        ``shed_p99_ms`` is set).  Defaults to ``GuardPolicy()``.
     sandbox_limits:
         Resource caps for the poison-matrix sandbox that untrusted
         inline ``mtx`` workloads must survive before they reach a
         worker (defaults to :class:`~repro.guard.SandboxLimits`).
-        The sandbox is always armed for ``mtx`` queries, independent
-        of ``guard_policy``.
     """
 
     def __init__(
@@ -197,7 +210,7 @@ class CharacterizationServer:
         faults: "FaultPlan | str | None" = None,
         advisor_model: "AdvisorModel | str | None" = None,
         advisor_margin: float = 0.05,
-        guard_policy: "GuardPolicy | None" = None,
+        guard_policy: GuardPolicy = GuardPolicy(),
         sandbox_limits: "SandboxLimits | None" = None,
     ) -> None:
         if max_inflight < 1:
@@ -243,24 +256,16 @@ class CharacterizationServer:
                 )
         self.guard_policy = guard_policy
         self._breakers: dict[str, CircuitBreaker] = {}
-        self.shedder: LoadShedder | None = None
-        if guard_policy is not None:
-            self.shedder = LoadShedder(
-                p99_threshold_ms=guard_policy.shed_p99_ms,
-                queue_depth_threshold=guard_policy.shed_queue_depth,
-                metrics=self.metrics,
-            )
+        self.shedder = LoadShedder(
+            p99_threshold_ms=guard_policy.shed_p99_ms,
+            metrics=self.metrics,
+        )
         self._sandbox_limits = sandbox_limits or SandboxLimits()
         self._sandbox: Sandbox | None = None
         self._sandbox_spawn_lock = threading.Lock()
-        cheap_width = (
-            guard_policy.cheap_lane_width
-            if guard_policy is not None
-            else 1
-        )
         self._bulkheads = {
             "compute": BulkheadStats("compute", max_inflight),
-            "cheap": BulkheadStats("cheap", cheap_width),
+            "cheap": BulkheadStats("cheap", CHEAP_LANE_WIDTH),
         }
         self._semaphore: asyncio.Semaphore | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -286,13 +291,12 @@ class CharacterizationServer:
             max_workers=self.max_inflight,
             thread_name_prefix="repro-serve",
         )
-        if self.guard_policy is not None:
-            # the bulkhead: cheap fast-path/sandbox work never queues
-            # behind (or starves) expensive sweep computations
-            self._cheap_executor = ThreadPoolExecutor(
-                max_workers=self.guard_policy.cheap_lane_width,
-                thread_name_prefix="repro-serve-cheap",
-            )
+        # the bulkhead: cheap fast-path/sandbox work never queues
+        # behind (or starves) expensive sweep computations
+        self._cheap_executor = ThreadPoolExecutor(
+            max_workers=CHEAP_LANE_WIDTH,
+            thread_name_prefix="repro-serve-cheap",
+        )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -390,7 +394,6 @@ class CharacterizationServer:
         task = asyncio.current_task()
         if task is not None:
             self._inflight.add(task)
-        status, body, extra_headers = 500, b"{}", {}
         try:
             method, path, request_body, priority = await asyncio.wait_for(
                 self._read_request(reader), timeout=READ_TIMEOUT_S
@@ -398,40 +401,28 @@ class CharacterizationServer:
             status, body, extra_headers = await self._dispatch(
                 method, path, request_body, priority
             )
-        except _ProtocolError as error:
-            status = error.status
-            body = canonical_json(
-                error_payload(type(error).__name__, str(error), status)
-            )
         except (asyncio.TimeoutError, ConnectionError, EOFError):
             writer.close()
             if task is not None:
                 self._inflight.discard(task)
             return
         except asyncio.CancelledError:
-            # only the drain path cancels handlers; a 503 on the wire
-            # beats a reset connection.  Outside a drain, cancellation
-            # is not ours to swallow.
+            # drain() cancelled this handler before its request
+            # arrived (as in _handle_query: answer 503, don't reset)
             if not self._draining:
                 if task is not None:
                     self._inflight.discard(task)
                 raise
-            status = 503
-            error = ServeDrainingError(
-                "request cancelled: server is draining"
-            )
-            self.metrics.incr("serve.errors.ServeDrainingError")
-            self.metrics.incr("serve.http.503")
-            body = canonical_json(
-                error_payload("ServeDrainingError", str(error), status)
+            status, body, extra_headers = self._error_response(
+                _drain_cancelled()
             )
         except Exception as error:  # noqa: BLE001 — last-resort guard
-            # nothing unstructured may reach the wire; the typed paths
-            # are all handled inside _dispatch
-            status = 500
-            body = canonical_json(
-                error_payload(type(error).__name__, str(error), status)
-            )
+            # protocol errors, and anything untyped: nothing
+            # unstructured may reach the wire
+            status, body, extra_headers = self._error_response(error)
+        if status >= 500:
+            self.metrics.incr("serve.http.5xx")
+        self.metrics.incr(f"serve.http.{status}")
         try:
             writer.write(_response_bytes(status, body, extra_headers))
             await writer.drain()
@@ -507,26 +498,17 @@ class CharacterizationServer:
         if endpoint in ENDPOINTS:
             if method != "POST":
                 return self._method_not_allowed("POST")
-            if self._draining:
-                # GET /metrics and /healthz stay up for the final
-                # scrape; only new query work is refused
-                error = ServeDrainingError(
-                    "server is draining and not accepting new work; "
-                    "retry against another instance"
-                )
-                self.metrics.incr("serve.drain.refused")
-                self.metrics.incr("serve.errors.ServeDrainingError")
-                self.metrics.incr("serve.http.503")
-                return 503, canonical_json(
-                    error_payload(
-                        "ServeDrainingError", str(error), 503
-                    )
-                ), {"Retry-After": "1"}
             return await self._handle_query(endpoint, body, priority)
-        self.metrics.incr("serve.http.404")
         return 404, canonical_json(
             error_payload("NotFound", f"no route for {path}", 404)
         ), {}
+
+    def _error_response(
+        self, error: BaseException
+    ) -> tuple[int, bytes, dict]:
+        """The one refusal/error path: count the type, render it."""
+        self.metrics.incr(f"serve.errors.{type(error).__name__}")
+        return render_error(error)
 
     @staticmethod
     def _method_not_allowed(allow: str) -> tuple[int, bytes, dict]:
@@ -546,20 +528,21 @@ class CharacterizationServer:
         status, source, degraded = 500, "error", ""
         digest = ""
         try:
-            if self.shedder is not None and self.shedder.should_shed(
-                priority, self._waiting
-            ):
-                error = ServeShedError(
+            if self._draining:
+                # GET /metrics and /healthz stay up for the final
+                # scrape; only new query work is refused
+                self.metrics.incr("serve.drain.refused")
+                raise ServeDrainingError(
+                    "server is draining and not accepting new work; "
+                    "retry against another instance"
+                )
+            if self.shedder.should_shed(priority):
+                raise ServeShedError(
                     f"shedding {priority!r}-priority work: request "
-                    f"p99 {self.shedder.p99_ms():.0f}ms / queue depth "
-                    f"{self._waiting} crossed the configured SLO "
-                    "thresholds; retry after backoff or raise "
-                    "X-Copernicus-Priority"
+                    f"p99 {self.shedder.p99_ms():.0f}ms crossed the "
+                    "configured SLO threshold; retry after backoff or "
+                    "raise X-Copernicus-Priority"
                 )
-                error.retry_after_s = (
-                    self.guard_policy.shed_retry_after_s
-                )
-                raise error
             try:
                 payload = json.loads(body)
             except json.JSONDecodeError as error:
@@ -579,25 +562,20 @@ class CharacterizationServer:
             if degraded:
                 headers["X-Copernicus-Degraded"] = degraded
             return status, response, headers
-        except CopernicusError as error:
-            status = getattr(error, "status", 500)
-            self.metrics.incr(f"serve.errors.{type(error).__name__}")
-            headers = {}
-            retry_after = getattr(error, "retry_after_s", None)
-            if retry_after is not None:
-                headers["Retry-After"] = str(
-                    max(1, int(retry_after + 0.999))
-                )
-            return status, canonical_json(
-                error_payload(type(error).__name__, str(error), status)
-            ), headers
+        except (asyncio.CancelledError, CopernicusError) as error:
+            if isinstance(error, asyncio.CancelledError):
+                # only drain() cancels handlers, and a 503 on the wire
+                # beats a reset connection; outside a drain,
+                # cancellation is not ours to swallow
+                if not self._draining:
+                    raise
+                error = _drain_cancelled()
+            status, response, headers = self._error_response(error)
+            return status, response, headers
         finally:
             elapsed = time.perf_counter() - start
-            if status >= 500:
-                self.metrics.incr("serve.http.5xx")
-            self.metrics.incr(f"serve.http.{status}")
             self.metrics.observe("serve.request", elapsed)
-            if self.shedder is not None and status == 200:
+            if status == 200:
                 # shed/refused answers are fast by construction;
                 # feeding them into the window would talk the shedder
                 # out of shedding while the backend is still drowning
@@ -621,15 +599,14 @@ class CharacterizationServer:
             # never a serve worker
             await self._sandbox_gate(query)
         breaker = self._breaker(query.endpoint)
-        if breaker is not None and not breaker.allow():
-            error = ServeCircuitOpenError(
+        if not breaker.allow():
+            raise ServeCircuitOpenError(
                 f"circuit breaker for /{query.endpoint} is "
                 f"{breaker.state}: the backend failed "
                 f"{breaker.failure_threshold} consecutive times; "
-                "retry after backoff"
+                "retry after backoff",
+                breaker.retry_after_s(),
             )
-            error.retry_after_s = breaker.retry_after_s()
-            raise error
         if self.advisor is not None and query.endpoint == "advise":
             fast = await self._fast_advise(query, digest)
             if fast is not None:
@@ -685,7 +662,6 @@ class CharacterizationServer:
     async def _admitted_compute(self, query: Query) -> bytes:
         """Run the backend under admission control (leaders only)."""
         if self._waiting >= self.queue_limit:
-            self.metrics.incr("serve.http.429.refused")
             self._bulkheads["compute"].rejected += 1
             raise ServeOverloadedError(
                 f"server at capacity: {self._running} computations "
@@ -709,12 +685,10 @@ class CharacterizationServer:
             )
         except Exception:
             # the backend (not admission) failed: feed the breaker
-            if breaker is not None:
-                breaker.record_failure()
+            breaker.record_failure()
             raise
         else:
-            if breaker is not None:
-                breaker.record_success()
+            breaker.record_success()
             return body
         finally:
             stats.completed += 1
@@ -724,17 +698,14 @@ class CharacterizationServer:
     # ------------------------------------------------------------------
     # The guard layer: breaker lookup and the sandbox boundary
     # ------------------------------------------------------------------
-    def _breaker(self, route: str) -> "CircuitBreaker | None":
-        """The route's circuit breaker (lazily created; None unguarded)."""
-        if self.guard_policy is None:
-            return None
+    def _breaker(self, route: str) -> CircuitBreaker:
+        """The route's circuit breaker (lazily created)."""
         breaker = self._breakers.get(route)
         if breaker is None:
             breaker = CircuitBreaker(
                 route,
                 failure_threshold=self.guard_policy.breaker_threshold,
                 recovery_s=self.guard_policy.breaker_recovery_s,
-                half_open_probes=self.guard_policy.breaker_probes,
                 metrics=self.metrics,
             )
             self._breakers[route] = breaker
@@ -756,7 +727,7 @@ class CharacterizationServer:
         stats.submitted += 1
         try:
             verdict = await loop.run_in_executor(
-                self._cheap_executor or self._executor,
+                self._cheap_executor,
                 functools.partial(self._sandbox_profile, content, p),
             )
         finally:
@@ -820,10 +791,10 @@ class CharacterizationServer:
         stats = self._bulkheads["cheap"]
         stats.submitted += 1
         try:
-            # cheap lane when bulkheaded: a fast prediction must not
-            # queue behind a convoy of sweep computations
+            # cheap lane: a fast prediction must not queue behind a
+            # convoy of sweep computations
             return await loop.run_in_executor(
-                self._cheap_executor or self._executor,
+                self._cheap_executor,
                 functools.partial(
                     self._advisor_answer, query, ignore_margin
                 ),
@@ -984,18 +955,14 @@ class CharacterizationServer:
                     "margin_threshold": self.advisor_margin,
                 },
                 "guard": {
-                    "enabled": self.guard_policy is not None,
+                    "enabled": True,
                     "breakers": {
                         route: breaker.snapshot()
                         for route, breaker in sorted(
                             self._breakers.items()
                         )
                     },
-                    "shedder": (
-                        self.shedder.snapshot()
-                        if self.shedder is not None
-                        else None
-                    ),
+                    "shedder": self.shedder.snapshot(),
                     "bulkheads": {
                         name: stats.snapshot()
                         for name, stats in sorted(
@@ -1020,6 +987,29 @@ class CharacterizationServer:
         )
 
 
+def render_error(error: BaseException) -> tuple[int, bytes, dict]:
+    """Status, ``serve/v1`` error body and headers for a raised error.
+
+    The status is the error's ``status`` (500 for anything untyped).
+    A refusal's ``retry_after_s`` becomes one ``Retry-After`` header in
+    whole seconds, rounded up and at least 1.
+    """
+    status = getattr(error, "status", 500)
+    body = canonical_json(
+        error_payload(type(error).__name__, str(error), status)
+    )
+    retry_after = getattr(error, "retry_after_s", None)
+    if retry_after is None:
+        return status, body, {}
+    return status, body, {
+        "Retry-After": str(max(1, math.ceil(retry_after)))
+    }
+
+
+def _drain_cancelled() -> ServeDrainingError:
+    return ServeDrainingError("request cancelled: server is draining")
+
+
 def _response_bytes(status: int, body: bytes, extra: dict) -> bytes:
     reason = HTTP_REASONS.get(status, "Unknown")
     headers = [
@@ -1028,8 +1018,6 @@ def _response_bytes(status: int, body: bytes, extra: dict) -> bytes:
         f"Content-Length: {len(body)}",
         "Connection: close",
     ]
-    if status == 429:
-        headers.append("Retry-After: 1")
     headers.extend(f"{name}: {value}" for name, value in extra.items())
     head = "\r\n".join(headers) + "\r\n\r\n"
     return head.encode("latin-1") + body

@@ -159,6 +159,54 @@ class TestDrainInflight:
         asyncio.run(main())
 
 
+class TestDrainAccounting:
+    def test_counters_match_the_wire_status(self):
+        """Both drain refusals are counted as the 503 they write."""
+
+        async def main():
+            async with running_server(
+                faults="delay@*:*:*#delay=0.5#times=none"
+            ) as server:
+                # a straggler: mid-computation when the drain expires
+                straggler = asyncio.create_task(
+                    post_json(
+                        server, "characterize", characterize_payload()
+                    )
+                )
+                await asyncio.sleep(0.1)  # let it reach the backend
+                reader, writer = await _open(server)
+                drain_task = asyncio.create_task(
+                    server.drain(timeout_s=0.3)
+                )
+                await _draining(server)
+                # a refusal: new work on an already-open connection
+                refused, headers, _ = await _send_request(
+                    reader, writer, "POST", "/characterize",
+                    characterize_payload(formats=["coo"]),
+                )
+                snapshot = await drain_task
+                cancelled, _, _ = await straggler
+                writer.close()
+                assert (refused, cancelled) == (503, 503)
+                assert headers["retry-after"] == "1"
+                counters = snapshot["counters"]
+                assert counters["serve.drain.refused"] == 1
+                assert counters["serve.drain.cancelled"] == 1
+                assert counters["serve.requests"] == 2
+                assert counters["serve.http.503"] == 2
+                assert counters["serve.http.5xx"] == 2
+                assert "serve.http.500" not in counters
+                assert counters["serve.errors.ServeDrainingError"] == 2
+                statuses = [
+                    span["labels"]["status"]
+                    for span in snapshot["spans"]
+                    if span["name"] == "serve.request"
+                ]
+                assert statuses == [503, 503]
+
+        asyncio.run(main())
+
+
 class TestDrainSnapshot:
     def test_final_snapshot_lands_on_disk_atomically(self, tmp_path):
         path = tmp_path / "final-metrics.json"

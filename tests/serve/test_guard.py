@@ -1,11 +1,10 @@
 """Serve-side guard integration over real sockets.
 
 Covers the untrusted-``mtx`` sandbox gate, the per-route circuit
-breaker (opening on a poison route, recovering after the window),
-priority shedding under an unmeetable SLO, and the guard section of
-the metrics export.  Guarding is opt-in at the constructor — the
-default server keeps its legacy behavior (tested elsewhere) while the
-``mtx`` sandbox is always armed.
+breaker (opening on a poison route, recovering after the window, armed
+on a default server), priority shedding under an unmeetable SLO, the
+guard section of the metrics export, and — without a socket — the one
+rendering of every refusal's ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,16 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
+from repro.errors import (
+    ServeCircuitOpenError,
+    ServeDrainingError,
+    ServeOverloadedError,
+    ServeShedError,
+)
 from repro.guard import GuardPolicy, SandboxLimits
+from repro.serve.server import _response_bytes, render_error
 from tests.serve.helpers import (
     get_path,
     post_json,
@@ -78,8 +86,8 @@ class TestSandboxGate:
         asyncio.run(main())
 
     def test_poison_header_is_refused_without_guard_policy(self) -> None:
-        # the sandbox gate does not depend on opting into overload
-        # protection: hostile mtx content is always contained
+        # the sandbox gate needs no guard tuning: hostile mtx
+        # content is always contained
         async def main() -> None:
             async with running_server(
                 sandbox_limits=SandboxLimits(wall_s=5.0)
@@ -126,6 +134,39 @@ class TestSandboxGate:
 
 
 class TestCircuitBreaker:
+    def test_default_server_arms_its_breakers(self) -> None:
+        async def main() -> None:
+            async with running_server(
+                faults="raise@*:dia:*#times=none"
+            ) as server:
+                poison = {
+                    "workload": {
+                        "kind": "random", "n": 32,
+                        "density": 0.1, "seed": 1,
+                    },
+                    "formats": ["dia"],
+                    "partitions": [8],
+                }
+                # GuardPolicy() defaults: five failures open the route
+                for seed in range(20, 25):
+                    poison["workload"]["seed"] = seed
+                    status, _, _ = await post_json(
+                        server, "characterize", poison
+                    )
+                    assert status == 500
+                poison["workload"]["seed"] = 25
+                status, headers, body = await post_json(
+                    server, "characterize", poison
+                )
+                assert status == 503
+                assert int(headers["retry-after"]) >= 1
+                assert (
+                    json.loads(body)["error"]["type"]
+                    == "ServeCircuitOpenError"
+                )
+
+        asyncio.run(main())
+
     def test_opens_on_poison_route_and_recovers(self) -> None:
         async def main() -> None:
             policy = GuardPolicy(
@@ -266,7 +307,8 @@ class TestLoadShedding:
 class TestGuardMetrics:
     def test_guarded_metrics_section(self) -> None:
         async def main() -> None:
-            policy = GuardPolicy(shed_queue_depth=64)
+            # an SLO no 32x32 sweep comes near: shedding armed, idle
+            policy = GuardPolicy(shed_p99_ms=60_000.0)
             async with running_server(guard_policy=policy) as server:
                 await post_json(
                     server,
@@ -307,3 +349,33 @@ class TestGuardMetrics:
                 assert sandbox["jobs"] >= 1
 
         asyncio.run(main())
+
+
+class TestRefusalRendering:
+    """Every refusal renders one ``Retry-After``, whole seconds, >= 1."""
+
+    @pytest.mark.parametrize(
+        ("error", "status", "retry_after"),
+        [
+            (ServeOverloadedError("queue full"), 429, "1"),
+            (ServeDrainingError("draining"), 503, "1"),
+            (ServeShedError("shed"), 503, "1"),
+            (ServeCircuitOpenError("open", 2.2), 503, "3"),
+            (ServeCircuitOpenError("open", 0.3), 503, "1"),
+        ],
+        ids=["overloaded", "draining", "shed", "breaker", "breaker-short"],
+    )
+    def test_exactly_one_retry_after(
+        self, error, status, retry_after
+    ) -> None:
+        wire = _response_bytes(*render_error(error))
+        head, _, body = wire.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[1] == str(status)
+        values = [
+            line.split(":", 1)[1].strip()
+            for line in lines[1:]
+            if line.lower().startswith("retry-after:")
+        ]
+        assert values == [retry_after]
+        assert json.loads(body)["error"]["type"] == type(error).__name__

@@ -221,8 +221,11 @@ class TestMetricsV1:
                     "enabled", "breakers", "shedder", "bulkheads",
                     "sandbox",
                 }
-                assert payload["extra"]["guard"]["enabled"] is False
-                assert payload["extra"]["guard"]["shedder"] is None
+                assert payload["extra"]["guard"]["enabled"] is True
+                assert (
+                    payload["extra"]["guard"]["shedder"]["enabled"]
+                    is False
+                )
                 assert set(payload["extra"]["guard"]["bulkheads"]) == {
                     "compute", "cheap",
                 }
