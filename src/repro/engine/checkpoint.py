@@ -9,6 +9,11 @@ pickled :class:`~repro.core.results.CharacterizationResult` itself
 (zlib-compressed, base64-armored inside the JSON record), a resumed
 sweep's outcome is bit-identical to an uninterrupted run's.
 
+Payloads are canonical pickles: protocol 4 from the C pickler, with
+every string collapsed to one object per value
+(:class:`_CanonicalPickler`), so equal results encode to equal bytes
+whichever backend computed them.
+
 Records are keyed by the **cell recipe digest** — a content digest of
 (workload recipe, format, partition size, hardware config) — not by
 grid position, so a checkpoint survives grid reordering, grid
@@ -49,6 +54,7 @@ latest record per key (``repro checkpoint --compact``).
 from __future__ import annotations
 
 import base64
+import copyreg
 import hashlib
 import io
 import json
@@ -56,6 +62,7 @@ import pickle
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import FunctionType
 from typing import IO, TYPE_CHECKING
 
 from .. import io_atomic
@@ -104,27 +111,122 @@ def cell_digest(cell: "SweepCell") -> str:
     ).hexdigest()
 
 
-class _CanonicalPickler(pickle._Pickler):
-    """Pickler whose output is invariant to ``str`` object identity.
+class _CanonicalPickler(pickle.Pickler):
+    """C pickler whose output is invariant to ``str`` object identity.
 
     pickle's memo is keyed by object id, so two equal strings that are
     distinct objects (typical for a result that crossed a worker's
     pickle boundary) serialize differently than one shared interned
-    string (typical for a result computed in-process).  Routing every
-    plain ``str`` through a value-keyed table collapses equal strings
-    into one representative per dump, which makes the payload bytes —
-    and therefore :func:`checkpoint_digest` — depend only on the
-    values, not on which backend produced them.
+    string (typical for a result computed in-process).  Swapping every
+    ``str`` for one representative per value from a value-keyed table
+    makes the payload bytes — and therefore :func:`checkpoint_digest`
+    — depend only on the values, not on which backend produced them.
+
+    The C pickler writes strings, tuples, lists and dicts without
+    calling back into Python, so the swap happens where it does call
+    back: :meth:`reducer_override`, once per object of any other type
+    (dataclasses, arrays, dtypes, classes).  It returns the object's
+    usual reduction (the ``copyreg`` table, else ``__reduce_ex__(4)``)
+    with every string in its arguments, state and list/dict items —
+    and in the tuples, lists and dicts nested there — swapped; nested
+    objects get their own call, and :meth:`dump` swaps the top-level
+    value.  Each container is copied once per dump (keyed by id, the
+    original kept alive), so shared and cyclic structure keeps its
+    shape.  Classes and functions are written under their swapped
+    qualified name.
+
+    The bytes equal those of the earlier pure-Python encoder (a swap in
+    every ``save``), so checkpoints written by either compare equal.
+    The one string the C pickler reads itself is a class's module
+    name: a payload string equal to one shares its memo slot only if
+    it is the same object.
     """
 
     def __init__(self, stream, protocol: int) -> None:
         super().__init__(stream, protocol)
         self._strings: dict[str, str] = {}
+        self._copies: dict[int, tuple] = {}
 
-    def save(self, obj, save_persistent_id=True):
-        if type(obj) is str:
-            obj = self._strings.setdefault(obj, obj)
-        super().save(obj, save_persistent_id)
+    def dump(self, obj) -> None:
+        super().dump(self._canonical(obj))
+
+    def _canonical(self, value):
+        kind = type(value)
+        if kind is str:
+            return self._strings.setdefault(value, value)
+        if kind not in _CONTAINERS:
+            return value
+        key = id(value)
+        seen = self._copies.get(key)
+        if seen is not None:
+            return seen[1]
+        if kind is tuple:
+            copy = tuple(self._items(value))
+            # a tuple reached again through its own items was copied
+            # there already; keep that copy so the cycle stays closed
+            seen = self._copies.get(key)
+            if seen is not None:
+                return seen[1]
+            self._copies[key] = (value, copy)
+            return copy
+        copy = kind()
+        self._copies[key] = (value, copy)
+        if kind is list:
+            copy.extend(self._items(value))
+        else:
+            strings = self._strings
+            canonical = self._canonical
+            for name, item in value.items():
+                copy[
+                    strings.setdefault(name, name) if type(name) is str
+                    else canonical(name)
+                ] = (
+                    strings.setdefault(item, item) if type(item) is str
+                    else canonical(item) if type(item) in _CONTAINERS
+                    else item
+                )
+        return copy
+
+    def _items(self, values) -> list:
+        """:meth:`_canonical` of each value, atoms and strings inline."""
+        strings = self._strings
+        canonical = self._canonical
+        return [
+            strings.setdefault(item, item) if type(item) is str
+            else canonical(item) if type(item) in _CONTAINERS
+            else item
+            for item in values
+        ]
+
+    def reducer_override(self, obj):
+        kind = type(obj)
+        reduce = None if kind is type else copyreg.dispatch_table.get(kind)
+        if reduce is None and (
+            kind is FunctionType or issubclass(kind, type)
+        ):
+            if obj in _SINGLETON_TYPES:
+                return NotImplemented
+            rv = obj.__qualname__
+        else:
+            rv = obj.__reduce_ex__(4) if reduce is None else reduce(obj)
+        if type(rv) is str:  # a global, written by (canonical) name
+            return self._strings.setdefault(rv, rv)
+        if type(rv) is not tuple:
+            return NotImplemented
+        canonical = self._canonical
+        rv = self._items(rv)
+        if len(rv) > 3 and rv[3] is not None:  # listitems iterator
+            rv[3] = map(canonical, rv[3])
+        if len(rv) > 4 and rv[4] is not None:  # dictitems iterator
+            rv[4] = ((canonical(k), canonical(v)) for k, v in rv[4])
+        return tuple(rv)
+
+
+#: The containers whose items :class:`_CanonicalPickler` rewrites.
+_CONTAINERS = frozenset((tuple, list, dict))
+
+#: Classes the pickler writes as ``type(None)``-style reductions.
+_SINGLETON_TYPES = (type(None), type(NotImplemented), type(...))
 
 
 def _encode_payload(obj) -> str:

@@ -146,7 +146,8 @@ class CircuitBreaker:
         """May a request proceed to the backend right now?
 
         In ``half-open`` state, exactly one caller (the probe) gets a
-        True until it reports an outcome.
+        True until it reports an outcome or :meth:`release` hands the
+        probe back.
         """
         state = self.state
         if state == "closed":
@@ -155,6 +156,17 @@ class CircuitBreaker:
             return False
         self._probing = True
         return True
+
+    def release(self) -> None:
+        """Hand back the half-open probe without an outcome.
+
+        For a probe whose request ended without a backend call that
+        will report (answered by a fast path, refused by admission,
+        cancelled): the next caller becomes the probe.  A no-op once
+        an outcome has moved the breaker out of ``half-open``.
+        """
+        if self._state == "half-open":
+            self._probing = False
 
     def record_success(self) -> None:
         self._consecutive_failures = 0

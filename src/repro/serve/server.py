@@ -256,6 +256,8 @@ class CharacterizationServer:
                 )
         self.guard_policy = guard_policy
         self._breakers: dict[str, CircuitBreaker] = {}
+        #: Backend calls running per route (their outcomes are pending).
+        self._backend_calls: dict[str, int] = {}
         self.shedder = LoadShedder(
             p99_threshold_ms=guard_policy.shed_p99_ms,
             metrics=self.metrics,
@@ -599,6 +601,7 @@ class CharacterizationServer:
             # never a serve worker
             await self._sandbox_gate(query)
         breaker = self._breaker(query.endpoint)
+        probe = breaker.state == "half-open"
         if not breaker.allow():
             raise ServeCircuitOpenError(
                 f"circuit breaker for /{query.endpoint} is "
@@ -607,24 +610,31 @@ class CharacterizationServer:
                 "retry after backoff",
                 breaker.retry_after_s(),
             )
-        if self.advisor is not None and query.endpoint == "advise":
-            fast = await self._fast_advise(query, digest)
-            if fast is not None:
-                return fast, "advised-fast", ""
-        waiter = self._shared_flight(query, digest)
-        if self.budget_s is None:
-            body, led = await waiter
-            return body, self._flight_source(led), ""
         try:
-            body, led = await asyncio.wait_for(
-                waiter, timeout=self.budget_s
-            )
-            return body, self._flight_source(led), ""
-        except asyncio.TimeoutError:
-            # the shared computation keeps running for future askers;
-            # this request degrades instead of hanging
-            self.metrics.incr("serve.budget.expired")
-            return await self._degrade(query, digest)
+            if self.advisor is not None and query.endpoint == "advise":
+                fast = await self._fast_advise(query, digest)
+                if fast is not None:
+                    return fast, "advised-fast", ""
+            waiter = self._shared_flight(query, digest)
+            if self.budget_s is None:
+                body, led = await waiter
+                return body, self._flight_source(led), ""
+            try:
+                body, led = await asyncio.wait_for(
+                    waiter, timeout=self.budget_s
+                )
+                return body, self._flight_source(led), ""
+            except asyncio.TimeoutError:
+                # the shared computation keeps running for future
+                # askers; this request degrades instead of hanging
+                self.metrics.incr("serve.budget.expired")
+                return await self._degrade(query, digest)
+        finally:
+            # only a backend call reports an outcome: a probe answered
+            # without one (advised-fast, 429, cancelled) hands the
+            # probe back unless a running call on the route still will
+            if probe and not self._backend_calls.get(query.endpoint):
+                breaker.release()
 
     def _flight_source(self, led: bool) -> str:
         """Source marker + coalesce counters for one completed flight.
@@ -677,6 +687,8 @@ class CharacterizationServer:
         stats = self._bulkheads["compute"]
         stats.submitted += 1
         breaker = self._breaker(query.endpoint)
+        route = query.endpoint
+        self._backend_calls[route] = self._backend_calls.get(route, 0) + 1
         try:
             loop = asyncio.get_running_loop()
             body = await loop.run_in_executor(
@@ -691,6 +703,7 @@ class CharacterizationServer:
             breaker.record_success()
             return body
         finally:
+            self._backend_calls[route] -= 1
             stats.completed += 1
             self._running -= 1
             self._semaphore.release()

@@ -8,10 +8,13 @@ telemetry digest, and the executed-vs-replayed counters.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
+from repro.bench_distributed import scaling_specs
 from repro.engine import (
     CheckpointWriter,
     SweepRunner,
@@ -23,9 +26,12 @@ from repro.engine import (
 from repro.engine.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA,
+    _encode_payload,
     checkpoint_digest,
 )
+from repro.engine.grid import FailedCell
 from repro.errors import CheckpointError, SweepCellError, SweepConfigError
+from repro.formats.registry import PAPER_FORMATS
 
 SPECS = (
     WorkloadSpec.random(96, 0.05, seed=1),
@@ -121,6 +127,90 @@ class TestWriterLoader:
         state = load_checkpoint(path)
         assert len(state) == 1
         assert state.result_for(cell_digest(cell))[1] == 2.0
+
+
+# ----------------------------------------------------------------------
+# Payload bytes: canonical, and pinned across versions
+# ----------------------------------------------------------------------
+def unshared(obj):
+    """A copy of ``obj`` (object sharing kept) whose string fields, at
+    any dataclass depth, are each a fresh object shared with nothing:
+    the shape equal strings take after a worker's pickle round trip."""
+    copy = pickle.loads(pickle.dumps(obj, 4))
+    seen: set = set()
+
+    def walk(node) -> None:
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for name, value in list(vars(node).items()):
+            if type(value) is str:
+                object.__setattr__(node, name, "".join(list(value)))
+            elif dataclasses.is_dataclass(value):
+                walk(value)
+
+    walk(copy)
+    return copy
+
+
+class TestCanonicalPayload:
+    """Equal values encode to equal bytes whether or not equal strings
+    are one object: the property that keeps checkpoint digests equal
+    across the inline, pool and queue backends."""
+
+    def assert_canonical(self, original, distinguishes_plain=True):
+        variant = unshared(original)
+        assert variant == original
+        assert variant.format_name is not original.format_name
+        assert _encode_payload(variant) == _encode_payload(original)
+        if distinguishes_plain:
+            # a plain pickle tells the two apart, so a swap to it fails
+            assert pickle.dumps(variant, 4) != pickle.dumps(original, 4)
+
+    def test_result(self, baseline):
+        for result in baseline.results:
+            self.assert_canonical(result)
+
+    def test_encode_summary(self):
+        outcome = SweepRunner(encode=True).run_grid(
+            SPECS[:1], FORMATS, partition_sizes=(8,)
+        )
+        assert outcome.encodings
+        for summary in outcome.encodings.values():
+            # one occurrence per string: plain pickle agrees already
+            self.assert_canonical(summary, distinguishes_plain=False)
+
+    def test_failed_cell(self):
+        fmt = "csr"
+        failure = FailedCell(
+            index=3,
+            workload="band-96",
+            format_name=fmt,
+            partition_size=8,
+            recipe_digest="ab" * 16,
+            error_type="LookupError",
+            message=fmt,
+            traceback_text="Traceback (most recent call last): ...",
+        )
+        self.assert_canonical(failure)
+
+
+#: ``checkpoint_digest`` of the scaling grid in BENCH_distributed.json,
+#: written by the queue backend with the earlier pure-Python encoder.
+SCALING_GRID_DIGEST = "3ca233020336345172c4f361c235a801"
+
+
+def test_payload_bytes_are_pinned_across_versions(tmp_path):
+    """Any change to the payload encoding changes every digest ever
+    committed; this grid's digest must reproduce exactly."""
+    path = tmp_path / "ck.jsonl"
+    outcome = SweepRunner(
+        backend="inline", error_policy="fail_fast", checkpoint=path
+    ).run_grid(
+        scaling_specs(), list(PAPER_FORMATS), partition_sizes=[8]
+    )
+    assert len(outcome.results) == 64
+    assert checkpoint_digest(path) == SCALING_GRID_DIGEST
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,38 @@ class TestCircuitBreaker:
         assert not breaker.allow()
         assert breaker.state == "half-open"
 
+    def test_released_probe_passes_to_the_next_caller(
+        self, clock
+    ) -> None:
+        breaker = make_breaker(clock)
+        for _ in range(3):
+            breaker.record_failure()
+        clock.advance(5.1)
+        assert breaker.allow()  # the probe, answered without a backend
+        assert not breaker.allow()
+        breaker.release()
+        assert breaker.state == "half-open"
+        assert breaker.allow()  # the next caller probes instead
+        assert not breaker.allow()
+        breaker.record_success()
+        assert breaker.state == "closed"
+
+    def test_release_after_an_outcome_is_a_no_op(self, clock) -> None:
+        breaker = make_breaker(clock)
+        breaker.release()  # closed: nothing to hand back
+        assert breaker.state == "closed"
+        for _ in range(3):
+            breaker.record_failure()
+        clock.advance(5.1)
+        assert breaker.allow()
+        breaker.record_failure()  # the probe failed: open again
+        breaker.release()
+        assert breaker.state == "open"
+        assert not breaker.allow()
+        assert breaker.transitions == {
+            "closed-open": 1, "open-half-open": 1, "half-open-open": 1,
+        }
+
     def test_probe_success_closes(self, clock) -> None:
         breaker = make_breaker(clock)
         for _ in range(3):

@@ -2,7 +2,8 @@
 
 Covers the untrusted-``mtx`` sandbox gate, the per-route circuit
 breaker (opening on a poison route, recovering after the window, armed
-on a default server), priority shedding under an unmeetable SLO, the
+on a default server, a half-open probe refused by admission handed
+back), priority shedding under an unmeetable SLO, the
 guard section of the metrics export, and — without a socket — the one
 rendering of every refusal's ``Retry-After``.
 """
@@ -217,6 +218,70 @@ class TestCircuitBreaker:
                 assert snapshot["state"] == "closed"
                 assert snapshot["transitions"]["closed-open"] == 1
                 assert snapshot["transitions"]["half-open-closed"] == 1
+
+        asyncio.run(main())
+
+    def test_probe_refused_by_admission_is_handed_back(self) -> None:
+        """A half-open probe refused with 429 never reaches the
+        backend, so it must not leave the route refusing everything."""
+
+        async def main() -> None:
+            policy = GuardPolicy(
+                breaker_threshold=1, breaker_recovery_s=0.2
+            )
+            async with running_server(
+                faults=(
+                    "raise@*:dia:*#times=none,"
+                    "delay@*:ell:*#delay=1.0#times=none"
+                ),
+                guard_policy=policy,
+                max_inflight=1,
+                queue_limit=1,
+            ) as server:
+                poison = {
+                    "workload": {
+                        "kind": "random", "n": 32,
+                        "density": 0.1, "seed": 3,
+                    },
+                    "formats": ["dia"],
+                    "partitions": [8],
+                }
+                status, _, _ = await post_json(
+                    server, "characterize", poison
+                )
+                assert status == 500  # /characterize is now open
+                # two slow /advise computations (another route) hold
+                # the only backend slot and the only queue place
+                slow = [
+                    asyncio.create_task(post_json(
+                        server,
+                        "advise",
+                        {
+                            **poison,
+                            "workload": {**poison["workload"],
+                                         "seed": seed},
+                            "formats": ["ell", "coo"],
+                            "objective": "latency",
+                        },
+                    ))
+                    for seed in (4, 5)
+                ]
+                await asyncio.sleep(0.4)  # past the recovery window
+                healthy = {**poison, "formats": ["coo"]}
+                status, _, _ = await post_json(
+                    server, "characterize", healthy
+                )
+                assert status == 429  # the probe, refused by admission
+                assert [s for s, _, _ in await asyncio.gather(*slow)] == [
+                    200, 200,
+                ]
+                # the next caller probes, succeeds and closes the route
+                status, _, _ = await post_json(
+                    server, "characterize", healthy
+                )
+                assert status == 200
+                snapshot = server._breaker("characterize").snapshot()
+                assert snapshot["state"] == "closed"
 
         asyncio.run(main())
 
