@@ -9,11 +9,6 @@ pickled :class:`~repro.core.results.CharacterizationResult` itself
 (zlib-compressed, base64-armored inside the JSON record), a resumed
 sweep's outcome is bit-identical to an uninterrupted run's.
 
-Payloads are canonical pickles: protocol 4 from the C pickler, with
-every string collapsed to one object per value
-(:class:`_CanonicalPickler`), so equal results encode to equal bytes
-whichever backend computed them.
-
 Records are keyed by the **cell recipe digest** — a content digest of
 (workload recipe, format, partition size, hardware config) — not by
 grid position, so a checkpoint survives grid reordering, grid
@@ -43,10 +38,15 @@ Distributed sweeps stack another layer on the same format: every
 queue worker appends to its **own shard** checkpoint, and the
 coordinator merges shards into the canonical checkpoint in grid
 order.  :func:`checkpoint_digest` is the correctness gate for that
-merge — a content digest over the *semantic* payload (cell digests,
-results, cache keys, encodings) that deliberately excludes wall-clock
-times and record order, so a queue-backend checkpoint and a
-sequential one compare equal iff they hold bit-identical results.
+merge.  It is defined over *decoded values*, never over payload
+bytes: the latest record per key survives, each surviving payload is
+unpickled and fed through one fixed, type-tagged walk
+(:func:`_hash_value` — strings length-prefixed, scalars by type and
+``repr``, arrays by dtype, shape and bytes, dataclasses by qualified
+name and compared fields), and wall-clock times, cache keys and
+record order are left out.  A queue-backend checkpoint and a
+sequential one therefore compare equal iff they hold equal results,
+however the pickler happened to lay out the bytes.
 :func:`compact_checkpoint` rewrites a record log keeping only the
 latest record per key (``repro checkpoint --compact``).
 """
@@ -54,16 +54,16 @@ latest record per key (``repro checkpoint --compact``).
 from __future__ import annotations
 
 import base64
-import copyreg
+import dataclasses
 import hashlib
-import io
 import json
 import pickle
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import FunctionType
 from typing import IO, TYPE_CHECKING
+
+import numpy as np
 
 from .. import io_atomic
 from ..errors import CheckpointError
@@ -111,129 +111,9 @@ def cell_digest(cell: "SweepCell") -> str:
     ).hexdigest()
 
 
-class _CanonicalPickler(pickle.Pickler):
-    """C pickler whose output is invariant to ``str`` object identity.
-
-    pickle's memo is keyed by object id, so two equal strings that are
-    distinct objects (typical for a result that crossed a worker's
-    pickle boundary) serialize differently than one shared interned
-    string (typical for a result computed in-process).  Swapping every
-    ``str`` for one representative per value from a value-keyed table
-    makes the payload bytes — and therefore :func:`checkpoint_digest`
-    — depend only on the values, not on which backend produced them.
-
-    The C pickler writes strings, tuples, lists and dicts without
-    calling back into Python, so the swap happens where it does call
-    back: :meth:`reducer_override`, once per object of any other type
-    (dataclasses, arrays, dtypes, classes).  It returns the object's
-    usual reduction (the ``copyreg`` table, else ``__reduce_ex__(4)``)
-    with every string in its arguments, state and list/dict items —
-    and in the tuples, lists and dicts nested there — swapped; nested
-    objects get their own call, and :meth:`dump` swaps the top-level
-    value.  Each container is copied once per dump (keyed by id, the
-    original kept alive), so shared and cyclic structure keeps its
-    shape.  Classes and functions are written under their swapped
-    qualified name.
-
-    The bytes equal those of the earlier pure-Python encoder (a swap in
-    every ``save``), so checkpoints written by either compare equal.
-    The one string the C pickler reads itself is a class's module
-    name: a payload string equal to one shares its memo slot only if
-    it is the same object.
-    """
-
-    def __init__(self, stream, protocol: int) -> None:
-        super().__init__(stream, protocol)
-        self._strings: dict[str, str] = {}
-        self._copies: dict[int, tuple] = {}
-
-    def dump(self, obj) -> None:
-        super().dump(self._canonical(obj))
-
-    def _canonical(self, value):
-        kind = type(value)
-        if kind is str:
-            return self._strings.setdefault(value, value)
-        if kind not in _CONTAINERS:
-            return value
-        key = id(value)
-        seen = self._copies.get(key)
-        if seen is not None:
-            return seen[1]
-        if kind is tuple:
-            copy = tuple(self._items(value))
-            # a tuple reached again through its own items was copied
-            # there already; keep that copy so the cycle stays closed
-            seen = self._copies.get(key)
-            if seen is not None:
-                return seen[1]
-            self._copies[key] = (value, copy)
-            return copy
-        copy = kind()
-        self._copies[key] = (value, copy)
-        if kind is list:
-            copy.extend(self._items(value))
-        else:
-            strings = self._strings
-            canonical = self._canonical
-            for name, item in value.items():
-                copy[
-                    strings.setdefault(name, name) if type(name) is str
-                    else canonical(name)
-                ] = (
-                    strings.setdefault(item, item) if type(item) is str
-                    else canonical(item) if type(item) in _CONTAINERS
-                    else item
-                )
-        return copy
-
-    def _items(self, values) -> list:
-        """:meth:`_canonical` of each value, atoms and strings inline."""
-        strings = self._strings
-        canonical = self._canonical
-        return [
-            strings.setdefault(item, item) if type(item) is str
-            else canonical(item) if type(item) in _CONTAINERS
-            else item
-            for item in values
-        ]
-
-    def reducer_override(self, obj):
-        kind = type(obj)
-        reduce = None if kind is type else copyreg.dispatch_table.get(kind)
-        if reduce is None and (
-            kind is FunctionType or issubclass(kind, type)
-        ):
-            if obj in _SINGLETON_TYPES:
-                return NotImplemented
-            rv = obj.__qualname__
-        else:
-            rv = obj.__reduce_ex__(4) if reduce is None else reduce(obj)
-        if type(rv) is str:  # a global, written by (canonical) name
-            return self._strings.setdefault(rv, rv)
-        if type(rv) is not tuple:
-            return NotImplemented
-        canonical = self._canonical
-        rv = self._items(rv)
-        if len(rv) > 3 and rv[3] is not None:  # listitems iterator
-            rv[3] = map(canonical, rv[3])
-        if len(rv) > 4 and rv[4] is not None:  # dictitems iterator
-            rv[4] = ((canonical(k), canonical(v)) for k, v in rv[4])
-        return tuple(rv)
-
-
-#: The containers whose items :class:`_CanonicalPickler` rewrites.
-_CONTAINERS = frozenset((tuple, list, dict))
-
-#: Classes the pickler writes as ``type(None)``-style reductions.
-_SINGLETON_TYPES = (type(None), type(NotImplemented), type(...))
-
-
 def _encode_payload(obj) -> str:
-    buffer = io.BytesIO()
-    _CanonicalPickler(buffer, 4).dump(obj)
     return base64.b64encode(
-        zlib.compress(buffer.getvalue())
+        zlib.compress(pickle.dumps(obj, 4))
     ).decode("ascii")
 
 
@@ -455,10 +335,15 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
             # a completed retry supersedes an earlier failure record
             state.failures.pop(digest, None)
         elif kind == "encoding":
-            summary = _decode_payload(record["payload"])
-            state.encodings[
-                (record["workload"], record["format"])
-            ] = summary
+            try:
+                key = (record["workload"], record["format"])
+                payload = record["payload"]
+            except KeyError as error:
+                raise CheckpointError(
+                    f"{path}:{lineno + 1}: encoding record missing "
+                    f"{error}"
+                ) from None
+            state.encodings[key] = _decode_payload(payload)
         elif kind == "failed":
             try:
                 digest = record["digest"]
@@ -474,16 +359,68 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     return state
 
 
+def _hash_value(update, value) -> None:
+    """Feed one decoded payload value to ``update``, type-tagged.
+
+    The walk behind :func:`checkpoint_digest`.  Every token names its
+    type and carries its own length, so no two different values feed
+    the same bytes: ``-0.0``/``0.0``, ``True``/``1`` and tuple/list
+    stay apart.  Dataclasses contribute their qualified name and every
+    field that takes part in ``==``.  Any other type raises
+    :class:`CheckpointError` rather than being skipped.
+    """
+    kind = type(value)
+    if kind is str:
+        data = value.encode("utf-8")
+        update(b"str:%d:" % len(data))
+        update(data)
+    elif kind in (int, float, bool, type(None)):
+        update(f"{kind.__name__}:{value!r};".encode("utf-8"))
+    elif kind is np.ndarray or isinstance(value, np.generic):
+        if value.dtype.hasobject:
+            raise CheckpointError(
+                "checkpoint payload holds an object-dtype array"
+            )
+        update(
+            f"{kind.__name__}:{value.dtype.str}{value.shape};"
+            .encode("utf-8")
+        )
+        update(value.tobytes())  # C order, whatever the strides
+    elif kind is tuple or kind is list:
+        update(f"{kind.__name__}:{len(value)};".encode("utf-8"))
+        for item in value:
+            _hash_value(update, item)
+    elif kind is dict:
+        update(f"dict:{len(value)};".encode("utf-8"))
+        for name, item in value.items():
+            _hash_value(update, name)
+            _hash_value(update, item)
+    elif dataclasses.is_dataclass(kind):
+        update(
+            f"{kind.__module__}.{kind.__qualname__};".encode("utf-8")
+        )
+        for spec in dataclasses.fields(value):
+            if spec.compare:
+                _hash_value(update, getattr(value, spec.name))
+    else:
+        raise CheckpointError(
+            f"checkpoint payload holds an unsupported "
+            f"{kind.__module__}.{kind.__qualname__}"
+        )
+
+
 def checkpoint_digest(path: str | Path) -> str:
     """Content digest of a checkpoint's *semantic* payload.
 
-    Covers the latest result payload per cell digest, the encodings
-    and the surviving failures; excludes wall-clock times, cache keys
+    Covers the latest result per cell digest, the encodings and the
+    surviving failures, each decoded and hashed by value
+    (:func:`_hash_value`); excludes wall-clock times, cache keys
     (provenance metadata some backends omit) and record order.  Two
     checkpoints compare equal under this digest iff replaying them
-    yields bit-identical sweep outcomes — the correctness gate for
-    the distributed coordinator's shard merge
-    (``repro checkpoint --digest``).
+    yields equal sweep outcomes — the correctness gate for the
+    distributed coordinator's shard merge (``repro checkpoint
+    --digest``).  An undecodable payload raises
+    :class:`CheckpointError`.
     """
     cells: dict = {}
     encodings: dict = {}
@@ -502,14 +439,13 @@ def checkpoint_digest(path: str | Path) -> str:
             failures[record.get("digest", "")] = record.get(
                 "payload", ""
             )
-    payload = repr((
-        sorted(cells.items()),
-        sorted(encodings.items()),
-        sorted(failures.items()),
-    ))
-    return hashlib.blake2b(
-        payload.encode("utf-8"), digest_size=16
-    ).hexdigest()
+    hasher = hashlib.blake2b(digest_size=16)
+    for group in (cells, encodings, failures):
+        hasher.update(b"records:%d;" % len(group))
+        for key, text in sorted(group.items()):
+            # one payload decoded at a time keeps memory flat
+            _hash_value(hasher.update, (key, _decode_payload(text)))
+    return hasher.hexdigest()
 
 
 def checkpoint_summary(path: str | Path) -> dict:

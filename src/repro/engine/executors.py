@@ -406,9 +406,14 @@ class CheckpointSink:
             self._recorded_encodings.add(key)
             self.writer.record_encoding(summary)
 
+    def record_failures(self, failures: list[FailedCell]) -> None:
+        """Append failed cells, as the queue's worker shards do."""
+        for failure in failures:
+            self.writer.record_failure(self.digests[failure.index], failure)
+
     def record_chunk(self, chunk: _Chunk, output: _ChunkOutput) -> None:
-        """Append one completed chunk's results and encodings."""
-        results, chunk_encodings, _, chunk_spans, _, _ = output
+        """Append one completed chunk's results, encodings, failures."""
+        results, chunk_encodings, _, chunk_spans, _, failures = output
         spans_by_index = {
             span.index: span for span in (chunk_spans or ())
         }
@@ -424,6 +429,7 @@ class CheckpointSink:
             )
         for key, summary in chunk_encodings.items():
             self.record_encoding(key, summary)
+        self.record_failures(failures)
 
 
 class SweepExecutor:
@@ -504,6 +510,7 @@ class InlineExecutor(SweepExecutor):
             if sink is not None:
                 for key, summary in encodings.items():
                     sink.record_encoding(key, summary)
+                sink.record_failures(failures)
         # the cache is shared, so its stats are reported once
         if outputs:
             last = outputs[-1]
@@ -707,6 +714,8 @@ class PoolExecutor(SweepExecutor):
                     isolating = True
                     for chunk, attempt, _error_type, _message in lost:
                         pending.append((chunk, attempt))
+        if sink is not None:
+            sink.record_failures(crash_failures)
         return outputs, crash_failures, counters
 
 

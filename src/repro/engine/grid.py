@@ -89,7 +89,9 @@ class FailedCell:
     wall-clock budget (``error_type="ChunkTimeout"``).  The formatted
     traceback is captured *inside* the worker, so it survives the
     pickle across the process boundary that would otherwise strip the
-    exception chain.
+    exception chain.  The traceback names source paths and line
+    numbers, so it is diagnostic only: it takes no part in ``==`` or
+    in checkpoint digests.
     """
 
     index: int
@@ -99,7 +101,7 @@ class FailedCell:
     recipe_digest: str
     error_type: str
     message: str
-    traceback_text: str = ""
+    traceback_text: str = field(default="", compare=False)
     attempts: int = 1
 
     @property

@@ -11,7 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench_distributed import scaling_specs
@@ -28,8 +31,9 @@ from repro.engine.checkpoint import (
     CHECKPOINT_SCHEMA,
     _encode_payload,
     checkpoint_digest,
+    checkpoint_summary,
 )
-from repro.engine.grid import FailedCell
+from repro.engine.grid import EncodeSummary, FailedCell
 from repro.errors import CheckpointError, SweepCellError, SweepConfigError
 from repro.formats.registry import PAPER_FORMATS
 
@@ -130,7 +134,7 @@ class TestWriterLoader:
 
 
 # ----------------------------------------------------------------------
-# Payload bytes: canonical, and pinned across versions
+# The digest: defined over decoded values, pinned across encoders
 # ----------------------------------------------------------------------
 def unshared(obj):
     """A copy of ``obj`` (object sharing kept) whose string fields, at
@@ -153,55 +157,151 @@ def unshared(obj):
     return copy
 
 
-class TestCanonicalPayload:
-    """Equal values encode to equal bytes whether or not equal strings
-    are one object: the property that keeps checkpoint digests equal
-    across the inline, pool and queue backends."""
+def with_field(obj, path: str, value):
+    """A deep copy of ``obj`` with the dotted attribute ``path`` set,
+    bypassing frozen dataclasses and constructor coercion."""
+    copy = pickle.loads(pickle.dumps(obj, 4))
+    *parents, name = path.split(".")
+    node = copy
+    for parent in parents:
+        node = getattr(node, parent)
+    object.__setattr__(node, name, value)
+    return copy
 
-    def assert_canonical(self, original, distinguishes_plain=True):
+
+def digest_of(path, obj) -> str:
+    """``checkpoint_digest`` of a checkpoint holding ``obj`` alone."""
+    with CheckpointWriter(path) as writer:
+        if isinstance(obj, FailedCell):
+            writer.record_failure("d" * 32, obj)
+        elif isinstance(obj, EncodeSummary):
+            writer.record_encoding(obj)
+        else:
+            cell = build_grid(SPECS[:1], FORMATS[:1], PARTITIONS[:1])[0]
+            writer.record_result("d" * 32, cell, obj)
+    return checkpoint_digest(path)
+
+
+FAILURE = FailedCell(
+    index=3,
+    workload="band-96",
+    format_name="csr",
+    partition_size=8,
+    recipe_digest="ab" * 16,
+    error_type="LookupError",
+    message="csr",
+    traceback_text="Traceback (most recent call last): ...",
+)
+
+
+def bumped(array):
+    copy = array.copy()
+    copy[0] += 1
+    return copy
+
+
+#: Value changes the digest must see: ``(result, failure) -> (before,
+#: attribute path, new value)``.
+DIGEST_CHANGES = {
+    "float-one-ulp": lambda r, f: (
+        r, "sigma", float(np.nextafter(r.sigma, np.inf))
+    ),
+    "zero-sign": lambda r, f: (with_field(r, "sigma", 0.0), "sigma", -0.0),
+    "array-element": lambda r, f: (
+        r,
+        "pipeline.memory_per_partition",
+        bumped(r.pipeline.memory_per_partition),
+    ),
+    "array-dtype": lambda r, f: (
+        r,
+        "pipeline.memory_per_partition",
+        r.pipeline.memory_per_partition.astype(np.int32),
+    ),
+    "tuple-to-list": lambda r, f: (
+        with_field(f, "message", ("csr", 8)), "message", ["csr", 8]
+    ),
+    "string-field": lambda r, f: (r, "workload", r.workload + "x"),
+    "nested-dataclass-field": lambda r, f: (
+        r, "power.static_w", r.power.static_w * 2
+    ),
+    "failed-attempts": lambda r, f: (f, "attempts", f.attempts + 1),
+    "int-to-bool": lambda r, f: (f, "attempts", True),
+}
+
+
+class TestValueDigest:
+    """The digest hashes decoded values, so equal values give equal
+    digests however their payload bytes happen to be laid out, and any
+    value change — even one ``==`` cannot see — gives another."""
+
+    def assert_same_digest(self, tmp_path, original, bytes_differ=True):
         variant = unshared(original)
         assert variant == original
         assert variant.format_name is not original.format_name
-        assert _encode_payload(variant) == _encode_payload(original)
-        if distinguishes_plain:
-            # a plain pickle tells the two apart, so a swap to it fails
+        if bytes_differ:
+            # the payloads differ, so a digest over bytes would too
             assert pickle.dumps(variant, 4) != pickle.dumps(original, 4)
+        assert digest_of(tmp_path / "variant.jsonl", variant) == (
+            digest_of(tmp_path / "original.jsonl", original)
+        )
 
-    def test_result(self, baseline):
-        for result in baseline.results:
-            self.assert_canonical(result)
+    def test_result(self, baseline, tmp_path):
+        for index, result in enumerate(baseline.results):
+            self.assert_same_digest(tmp_path / str(index), result)
 
-    def test_encode_summary(self):
+    def test_encode_summary(self, tmp_path):
         outcome = SweepRunner(encode=True).run_grid(
             SPECS[:1], FORMATS, partition_sizes=(8,)
         )
         assert outcome.encodings
         for summary in outcome.encodings.values():
             # one occurrence per string: plain pickle agrees already
-            self.assert_canonical(summary, distinguishes_plain=False)
+            self.assert_same_digest(
+                tmp_path / summary.format_name, summary,
+                bytes_differ=False,
+            )
 
-    def test_failed_cell(self):
-        fmt = "csr"
-        failure = FailedCell(
-            index=3,
-            workload="band-96",
-            format_name=fmt,
-            partition_size=8,
-            recipe_digest="ab" * 16,
-            error_type="LookupError",
-            message=fmt,
-            traceback_text="Traceback (most recent call last): ...",
+    def test_failed_cell(self, tmp_path):
+        self.assert_same_digest(tmp_path, FAILURE)
+
+    def test_traceback_text_is_not_part_of_the_value(self, tmp_path):
+        elsewhere = dataclasses.replace(
+            FAILURE, traceback_text="File \"/elsewhere/executors.py\""
         )
-        self.assert_canonical(failure)
+        assert elsewhere == FAILURE
+        assert digest_of(tmp_path / "a.jsonl", elsewhere) == digest_of(
+            tmp_path / "b.jsonl", FAILURE
+        )
+
+    @pytest.mark.parametrize("change", sorted(DIGEST_CHANGES))
+    def test_value_change_changes_the_digest(
+        self, change, baseline, tmp_path
+    ):
+        before, path, value = DIGEST_CHANGES[change](
+            baseline.results[0], FAILURE
+        )
+        after = with_field(before, path, value)
+        assert digest_of(tmp_path / "before.jsonl", before) != digest_of(
+            tmp_path / "after.jsonl", after
+        )
+
+    @pytest.mark.parametrize(
+        "message",
+        [{"csr"}, np.array(["csr"], dtype=object), object()],
+        ids=["set", "object-array", "object"],
+    )
+    def test_unhashable_value_raises(self, message, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        with pytest.raises(CheckpointError, match="checkpoint payload"):
+            digest_of(path, with_field(FAILURE, "message", message))
 
 
-#: ``checkpoint_digest`` of the scaling grid in BENCH_distributed.json,
-#: written by the queue backend with the earlier pure-Python encoder.
-SCALING_GRID_DIGEST = "3ca233020336345172c4f361c235a801"
+#: ``checkpoint_digest`` of the scaling grid in BENCH_distributed.json.
+SCALING_GRID_DIGEST = "b5eef950efc41f7bf28258339c5d759a"
 
 
-def test_payload_bytes_are_pinned_across_versions(tmp_path):
-    """Any change to the payload encoding changes every digest ever
+def test_scaling_grid_digest_is_pinned(tmp_path):
+    """Any change to the digest's definition changes every digest ever
     committed; this grid's digest must reproduce exactly."""
     path = tmp_path / "ck.jsonl"
     outcome = SweepRunner(
@@ -211,6 +311,62 @@ def test_payload_bytes_are_pinned_across_versions(tmp_path):
     )
     assert len(outcome.results) == 64
     assert checkpoint_digest(path) == SCALING_GRID_DIGEST
+
+
+#: A checkpoint written by the earlier canonical-pickle encoder: the
+#: queue backend (2 workers) over ``scaling_specs()[:2]`` x
+#: PAPER_FORMATS at p=8 with ``encode=True``, ``error_policy="collect"``
+#: and the fault below — 15 cell, 15 encoding and 1 failed record.
+V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint-v1.jsonl"
+V1_FAULT = "raise@band-4:coo:8"
+
+
+def run_v1_grid(backend: str, path, resume: bool = False):
+    return SweepRunner(
+        backend=backend,
+        max_workers=1 if backend == "inline" else 2,
+        encode=True,
+        telemetry=True,
+        error_policy="collect",
+        faults=V1_FAULT,
+        checkpoint=path,
+        resume=resume,
+    ).run_grid(
+        scaling_specs()[:2], list(PAPER_FORMATS), partition_sizes=[8]
+    )
+
+
+class TestV1Fixture:
+    """Payload bytes may change with the encoder; the digest and the
+    replay may not."""
+
+    def test_fixture_holds_every_record_kind(self):
+        summary = checkpoint_summary(V1_FIXTURE)
+        assert summary["n_cells"] == 15
+        assert summary["n_encodings"] == 15
+        assert summary["n_failed"] == 1
+
+    @pytest.mark.parametrize("backend", ["inline", "pool", "queue"])
+    def test_fresh_run_matches_the_fixture_digest(self, backend, tmp_path):
+        path = tmp_path / f"{backend}.jsonl"
+        outcome = run_v1_grid(backend, path)
+        assert len(outcome.failures) == 1
+        assert checkpoint_digest(path) == checkpoint_digest(V1_FIXTURE)
+
+    def test_resume_replays_every_fixture_cell(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        shutil.copyfile(V1_FIXTURE, path)
+        resumed = run_v1_grid("inline", path, resume=True)
+        assert resumed.telemetry.n_replayed == 15
+        # only the faulted cell ran again, and it failed again
+        assert "sweep.cells" not in resumed.telemetry.metrics.counters
+        assert [f.coords for f in resumed.failures] == [
+            ("band-4", "coo", 8)
+        ]
+        assert resumed.results == run_v1_grid(
+            "inline", tmp_path / "fresh.jsonl"
+        ).results
+        assert checkpoint_digest(path) == checkpoint_digest(V1_FIXTURE)
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +517,34 @@ class TestCorruption:
             )
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("missing", ["payload", "workload", "format"])
+    def test_encoding_record_missing_a_field_raises(
+        self, missing, tmp_path
+    ):
+        path = self.valid_checkpoint(tmp_path)
+        record = {
+            "type": "encoding",
+            "workload": "rand-0.05",
+            "format": "csr",
+            "payload": _encode_payload(None),
+        }
+        del record[missing]
+        with path.open("a") as stream:
+            stream.write(json.dumps(record) + "\n")
+        with pytest.raises(CheckpointError, match=missing):
+            load_checkpoint(path)
+
+    def test_digest_of_undecodable_payload_raises(self, tmp_path):
+        path = self.valid_checkpoint(tmp_path)
+        with path.open("a") as stream:
+            stream.write(
+                json.dumps({
+                    "type": "cell", "digest": "d", "payload": "!!!",
+                }) + "\n"
+            )
+        with pytest.raises(CheckpointError, match="undecodable"):
+            checkpoint_digest(path)
 
     def test_alien_file_is_rejected(self, tmp_path):
         path = tmp_path / "alien.jsonl"

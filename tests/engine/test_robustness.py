@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import SweepRunner, WorkloadSpec
+from repro.engine import SweepRunner, WorkloadSpec, load_checkpoint
 from repro.errors import SweepCellError
 
 SPECS = (
@@ -43,14 +43,19 @@ def healthy_map(outcome):
 class TestErrorPolicies:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_collect_keeps_healthy_cells_identical(
-        self, workers, baseline
+        self, workers, baseline, tmp_path
     ):
+        checkpoint = tmp_path / "ck.jsonl"
         outcome = SweepRunner(
             max_workers=workers,
             faults="raise@band-4:csr:16",
+            checkpoint=checkpoint,
         ).run_grid(SPECS, FORMATS, partition_sizes=PARTITIONS)
         assert outcome.n_failed == 1
         assert outcome.failure(*TARGET).error_type == "InjectedFault"
+        # the checkpoint records the failure, as the queue backend's does
+        recorded = list(load_checkpoint(checkpoint).failures.values())
+        assert recorded == outcome.failures
         expected = {
             coords: result
             for coords, result in healthy_map(baseline).items()
@@ -95,19 +100,25 @@ class TestCrashRecovery:
         assert counters["sweep.pool_restarts"] >= 1
         assert counters["sweep.chunk_retries"] >= 1
 
-    def test_persistent_crash_is_fenced_to_one_cell(self, baseline):
+    def test_persistent_crash_is_fenced_to_one_cell(
+        self, baseline, tmp_path
+    ):
         # the poison cell kills its worker on every attempt; bisection
         # must fence it off without losing any innocent cell
+        checkpoint = tmp_path / "ck.jsonl"
         outcome = SweepRunner(
             max_workers=2,
             telemetry=True,
             max_retries=1,
             faults="crash@band-4:csr:16#times=none",
+            checkpoint=checkpoint,
         ).run_grid(SPECS, FORMATS, partition_sizes=PARTITIONS)
         assert outcome.n_failed == 1
         failed = outcome.failure(*TARGET)
         assert failed.error_type == "WorkerCrashError"
         assert failed.attempts == 2  # max_retries + 1
+        recorded = list(load_checkpoint(checkpoint).failures.values())
+        assert recorded == [failed]
         expected = {
             coords: result
             for coords, result in healthy_map(baseline).items()
