@@ -71,10 +71,10 @@ def _metric_grid(
     lines = ["## Metrics per format and partition size", ""]
     for p in PARTITION_SIZES:
         simulator = SpmvSimulator(base_config.with_partition_size(p))
-        profiles = simulator.profiles(matrix)
+        table = simulator.profile_table(matrix)
         rows = []
         for name in formats:
-            result = simulator.run_format(name, profiles, "")
+            result = simulator.run_format(name, table, "")
             rows.append(
                 [
                     name,
@@ -106,9 +106,9 @@ def _summary_section(
     results = []
     for p in PARTITION_SIZES:
         simulator = SpmvSimulator(base_config.with_partition_size(p))
-        profiles = simulator.profiles(matrix)
+        table = simulator.profile_table(matrix)
         results.extend(
-            simulator.run_format(name, profiles, "") for name in formats
+            simulator.run_format(name, table, "") for name in formats
         )
     scores = sorted(
         summarize(results, formats), key=lambda s: s.overall, reverse=True
@@ -134,10 +134,10 @@ def _timeline_section(
     matrix: SparseMatrix, base_config: HardwareConfig
 ) -> list[str]:
     simulator = SpmvSimulator(base_config.with_partition_size(16))
-    profiles = simulator.profiles(matrix)
+    table = simulator.profile_table(matrix)
     lines = ["## Pipeline timelines (16x16 partitions)", ""]
     for name in ("dense", "coo", "csc"):
-        trace = trace_pipeline(simulator.config, name, profiles)
+        trace = trace_pipeline(simulator.config, name, table)
         lines.append(render_timeline(trace))
         lines.append("")
     return lines

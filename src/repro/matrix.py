@@ -28,7 +28,7 @@ def _as_index_array(values: object, name: str) -> np.ndarray:
         if not np.array_equal(as_int, array):
             raise ShapeError(f"{name} must be integers, got dtype {array.dtype}")
         array = as_int
-    return array.astype(np.int64).ravel()
+    return np.asarray(array, dtype=np.int64).ravel()
 
 
 @dataclass(frozen=True)
@@ -273,15 +273,63 @@ def _canonicalize(
     cols: np.ndarray,
     vals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort row-major, sum duplicates, drop explicit zeros."""
+    """Sort row-major, sum duplicates, drop explicit zeros.
+
+    O(nnz) for input already in strictly increasing row-major order:
+    no sort at all.  Any other input takes one default-kind argsort and
+    nothing more: duplicate-free keys are distinct, so that order is
+    the stable one, and a repeated coordinate's values are summed in
+    input order (:func:`_sum_duplicates`), whatever order the sort put
+    them in.  The returned arrays are always new, never the inputs or
+    views of them, so the matrix owns its data.
+    """
     if not rows.size:
-        return rows, cols, vals
-    keys = rows * shape[1] + cols
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
+        return rows.copy(), cols.copy(), vals.copy()
+    n_cols = shape[1]
+    keys = rows * n_cols + cols
+    if np.all(keys[1:] > keys[:-1]):
+        rows, cols, vals = rows.copy(), cols.copy(), vals.copy()
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        new_key = keys[1:] != keys[:-1]
+        if not new_key.all():
+            return _sum_duplicates(n_cols, keys, order, new_key, vals)
+        # splitting the sorted keys streams; gathering rows and cols by
+        # ``order`` would be two more random-access passes
+        rows = keys // n_cols
+        cols = rows * -n_cols
+        cols += keys
+        vals = vals[order]
+    # 0.0 + v == v, so this drops exactly what summation would
+    keep = vals != 0.0
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, cols, vals
+
+
+def _sum_duplicates(
+    n_cols: int,
+    keys: np.ndarray,
+    order: np.ndarray,
+    new_key: np.ndarray,
+    vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum each coordinate's values, in input order, and drop zeros.
+
+    ``keys`` is sorted by ``order``; ``new_key[i]`` says whether
+    ``keys[i + 1]`` differs from ``keys[i]``.  ``np.add.at`` adds in
+    index order, so scattering each entry's coordinate back to its
+    input position sums every coordinate's values in input order, as
+    a stable sort would.
+    """
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = new_key
+    coordinate = np.empty(keys.size, dtype=np.int64)
+    coordinate[order] = np.cumsum(first) - 1
+    unique_keys = keys[first]
     summed = np.zeros(unique_keys.size)
-    np.add.at(summed, inverse, vals)
+    np.add.at(summed, coordinate, vals)
     keep = summed != 0.0
     unique_keys, summed = unique_keys[keep], summed[keep]
-    return unique_keys // shape[1], unique_keys % shape[1], summed
+    return unique_keys // n_cols, unique_keys % n_cols, summed

@@ -288,52 +288,83 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new_run)
 
 
-def _tile_order(
-    matrix: SparseMatrix, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Entries sorted by tile: ``(nnz per tile, tile, local row, local col)``.
+def _count_keys(
+    keys: np.ndarray, size: int, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count the values of ``keys``, all in ``[0, size)``.
 
-    ``tile`` is the dense index of each entry's tile in grid order.
-    SparseMatrix is canonical (row-major), so the stable sort by tile id
-    leaves each tile's entries in (local row, local col) order: tiles,
-    rows and block-rows become contiguous runs.
+    Returns ``(counts, index)``: how often each distinct value occurs,
+    in ascending order of value, and each key's position in that
+    order.  A dense ``bincount`` table counts them when its ``size`` is
+    at most ``limit``; otherwise one plain sort of the keys does, so
+    working memory stays O(``keys.size + limit``) however large
+    ``size`` is.
     """
-    grid_cols = grid_shape(matrix.shape, p)[1]
-    pid = (matrix.rows // p) * grid_cols + matrix.cols // p
-    order = np.argsort(pid, kind="stable")
-    nnz = np.diff(np.append(_run_starts(pid[order]), pid.size))
-    tile = np.repeat(np.arange(nnz.size), nnz)
-    return nnz, tile, matrix.rows[order] % p, matrix.cols[order] % p
+    if size <= limit:
+        counts = np.bincount(keys, minlength=size)
+        distinct = np.flatnonzero(counts)
+        rank = np.empty(size, dtype=np.int64)
+        rank[distinct] = np.arange(distinct.size)
+        return counts[distinct], rank[keys]
+    ordered = np.sort(keys)
+    starts = _run_starts(ordered)
+    counts = np.diff(np.append(starts, ordered.size))
+    return counts, np.searchsorted(ordered[starts], keys)
 
 
-def _distinct_keys(
-    tile: np.ndarray, key: np.ndarray, width: int, n_tiles: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per tile: the distinct values of ``key`` (in ``[0, width)``).
+def _tile_key_stats(
+    tile: np.ndarray,
+    key: np.ndarray,
+    width: int,
+    n_tiles: int,
+    limit: int,
+    weights: "np.ndarray | None" = None,
+) -> tuple[np.ndarray, ...]:
+    """Per tile: how many distinct values ``key`` (in ``[0, width)``)
+    takes, plus, given ``weights`` indexed by key, the sum and the
+    maximum of the weights of those distinct keys.
 
-    Returns ``(n_distinct, offsets, keys, counts)``: every distinct
-    ``(tile, key)`` pair in sorted order with its multiplicity, tile
-    ``t``'s pairs starting at ``offsets[t]``.  Every tile holds an
-    entry, so the offsets are valid ``reduceat`` indices.  A dense
-    ``bincount`` counts the pairs when its ``n_tiles * width`` table is
-    no larger than the input; otherwise one plain sort of the combined
-    key does, so working memory stays O(input).
+    Counting follows :func:`_count_keys`'s rule: a dense key-major
+    ``(width, n_tiles)`` presence table reduced along its first axis
+    when it holds at most ``limit`` cells, else one plain sort of the
+    ``tile * width + key`` pairs reduced per tile segment.
     """
+    size = n_tiles * width
+    if size <= limit:
+        present = np.zeros(size, dtype=bool)
+        present[key * n_tiles + tile] = True
+        present = present.reshape(width, n_tiles)
+        n_distinct = present.sum(axis=0)
+        if weights is None:
+            return (n_distinct,)
+        weighted = present * weights[:, np.newaxis]
+        return n_distinct, weighted.sum(axis=0), weighted.max(axis=0)
     combined = tile * width
     combined += key
-    if n_tiles * width <= combined.size:
-        counts = np.bincount(combined, minlength=n_tiles * width)
-        distinct = np.flatnonzero(counts)
-        counts = counts[distinct]
-    else:
-        combined.sort()
-        starts = _run_starts(combined)
-        distinct = combined[starts]
-        counts = np.diff(np.append(starts, combined.size))
-    owner, keys = np.divmod(distinct, width)
+    combined.sort()
+    distinct = combined[_run_starts(combined)]
+    owner = distinct // width
     n_distinct = np.bincount(owner, minlength=n_tiles)
-    return n_distinct, np.cumsum(n_distinct) - n_distinct, keys, counts
+    if weights is None:
+        return (n_distinct,)
+    offsets = np.cumsum(n_distinct) - n_distinct
+    distinct_weights = weights[distinct - owner * width]
+    return (
+        n_distinct,
+        np.add.reduceat(distinct_weights, offsets),
+        np.maximum.reduceat(distinct_weights, offsets),
+    )
 
+
+#: A dense counting table may hold this many cells per entry before
+#: :func:`profile_table` counts by sorting instead; the block,
+#: block-row and diagonal tables may also hold as many cells as the
+#: ``(n_tiles, p)`` row histogram.
+DENSE_TABLE_FACTOR = 4
+
+#: :func:`profile_table` works through a matrix in runs of whole tile
+#: rows of about this many entries, so its working arrays stay small.
+PROFILE_CHUNK = 1 << 16
 
 #: 1-D integer columns of a :class:`ProfileTable`, in field order.
 PROFILE_COLUMNS: tuple[str, ...] = (
@@ -546,10 +577,11 @@ def profile_table(
 ) -> ProfileTable:
     """Vectorized per-tile statistics, columnar, in grid order.
 
-    One stable sort by tile id, then run boundaries and per-tile key
-    counts; no hash-based ``np.unique``.  Relies on ``matrix`` being
-    canonical (row-major, duplicate-free), which :class:`SparseMatrix`
-    guarantees.
+    Nothing is reordered.  :class:`SparseMatrix` is canonical
+    (row-major, duplicate-free), so each band of ``p`` rows is a
+    contiguous run of entries, and the matrix is profiled band group
+    by band group (about ``PROFILE_CHUNK`` entries each) into tables
+    that are concatenated in grid order; see :func:`_profile_bands`.
     """
     _check_partition_size(p)
     if block_size < 1:
@@ -562,60 +594,110 @@ def profile_table(
             row_nnz_hist=np.zeros((0, p), dtype=np.int64),
             **{name: empty for name in PROFILE_COLUMNS},
         )
-    nnz, tile, local_rows, local_cols = _tile_order(matrix, p)
-    n_tiles = nnz.size
-
-    # rows and block-rows are contiguous runs in tile order
-    row_starts = _run_starts(tile, local_rows)
-    row_len = np.diff(np.append(row_starts, tile.size))
-    row_tile = tile[row_starts]
-    nnz_rows = np.bincount(row_tile, minlength=n_tiles)
-    max_row = np.maximum.reduceat(row_len, np.cumsum(nnz_rows) - nnz_rows)
-    hist_matrix = np.bincount(
-        row_tile * p + (row_len - 1), minlength=n_tiles * p
-    ).reshape(n_tiles, p)
-    block_row_starts = _run_starts(
-        row_tile, local_rows[row_starts] // block_size
-    )
-    nnz_block_rows = np.bincount(
-        row_tile[block_row_starts], minlength=n_tiles
-    )
-    # free the per-row arrays before the key counts peak
-    del row_starts, row_len, row_tile, block_row_starts
-
-    # columns, blocks and diagonals are not: count their distinct keys
-    nnz_cols, offsets, _, counts = _distinct_keys(
-        tile, local_cols, p, n_tiles
-    )
-    max_col = np.maximum.reduceat(counts, offsets)
-    block_cols = -(-p // block_size)
-    n_blocks = _distinct_keys(
-        tile,
-        (local_rows // block_size) * block_cols + local_cols // block_size,
-        block_cols * block_cols,
-        n_tiles,
-    )[0]
-    # diagonal offsets shifted into [0, 2p-1)
-    n_diagonals, offsets, diagonals, _ = _distinct_keys(
-        tile, local_cols - local_rows + (p - 1), 2 * p - 1, n_tiles
-    )
-    diag_lengths = p - np.abs(diagonals - (p - 1))
-    stored = np.add.reduceat(diag_lengths, offsets)
-    longest = np.maximum.reduceat(diag_lengths, offsets)
+    rows, cols = matrix.rows, matrix.cols
+    grid_cols = grid_shape(matrix.shape, p)[1]
+    # cut after the tile row holding every PROFILE_CHUNK-th entry
+    cuts = np.arange(PROFILE_CHUNK, rows.size, PROFILE_CHUNK)
+    cuts = np.searchsorted(rows, (rows[cuts] // p + 1) * p)
+    bounds = [0, *cuts.tolist(), rows.size]
+    parts = [
+        _profile_bands(rows[start:stop], cols[start:stop], p, block_size,
+                       grid_cols)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+        if start < stop
+    ]
+    columns = parts[0] if len(parts) == 1 else [
+        np.concatenate(column) for column in zip(*parts)
+    ]
     return ProfileTable(
         p=p,
         block_size=block_size,
-        nnz=nnz,
-        nnz_rows=nnz_rows,
-        nnz_cols=nnz_cols,
-        max_row_nnz=max_row,
-        max_col_nnz=max_col,
-        n_blocks=n_blocks,
-        nnz_block_rows=nnz_block_rows,
-        n_diagonals=n_diagonals,
-        dia_stored_len=stored,
-        dia_max_len=longest,
-        row_nnz_hist=hist_matrix,
+        row_nnz_hist=columns[-1].reshape(-1, p),
+        **dict(zip(PROFILE_COLUMNS, columns)),
+    )
+
+
+def _profile_bands(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    p: int,
+    block_size: int,
+    grid_cols: int,
+) -> tuple[np.ndarray, ...]:
+    """:func:`profile_table`'s columns (histogram flat, last) for the
+    entries of whole, consecutive tile rows, in canonical order.
+
+    Each (row, tile column) segment of the canonical order is one
+    contiguous run, one non-empty row of one tile: those runs give the
+    row statistics.  Tile ids, ``b x b`` blocks, block rows and
+    diagonals are counted (:func:`_count_keys`, :func:`_tile_key_stats`)
+    with dense tables while a table stays within ``DENSE_TABLE_FACTOR``
+    cells per entry (plus the row histogram's ``n_tiles * p`` once the
+    tiles are known), otherwise with one plain sort — so a hypersparse
+    matrix with a huge tile grid stays cheap.  The column count table
+    is exactly ``n_tiles * p`` cells and always dense.
+    """
+    tile_cols = cols // p
+    row_starts = _run_starts(rows, tile_cols)
+    local_cols = tile_cols * -p
+    local_cols += cols
+    tile_rows = rows // p
+    local_rows = tile_rows * -p
+    local_rows += rows
+    first_band = int(tile_rows[0])
+    n_grid = (int(tile_rows[-1]) - first_band + 1) * grid_cols
+    # grid-order tile id counted from this slice's first tile row,
+    # built in place over tile_rows
+    grid_id = tile_rows
+    grid_id -= first_band
+    grid_id *= grid_cols
+    grid_id += tile_cols
+    del tile_rows, tile_cols
+    limit = DENSE_TABLE_FACTOR * rows.size
+    nnz, tile = _count_keys(grid_id, n_grid, limit)
+    del grid_id
+    n_tiles = nnz.size
+    limit += n_tiles * p
+
+    row_len = np.diff(np.append(row_starts, rows.size))
+    row_tile = tile[row_starts]
+    nnz_rows = np.bincount(row_tile, minlength=n_tiles)
+    max_row = np.zeros(n_tiles, dtype=np.int64)
+    np.maximum.at(max_row, row_tile, row_len)
+    hist = np.bincount(row_tile * p + (row_len - 1), minlength=n_tiles * p)
+    block_cols = -(-p // block_size)
+    (nnz_block_rows,) = _tile_key_stats(
+        row_tile, local_rows[row_starts] // block_size, block_cols,
+        n_tiles, limit,
+    )
+    del row_starts, row_len, row_tile
+
+    # a (p, n_tiles) count table is no larger than the histogram
+    col_counts = np.bincount(
+        local_cols * n_tiles + tile, minlength=p * n_tiles
+    ).reshape(p, n_tiles)
+    nnz_cols = np.count_nonzero(col_counts, axis=0)
+    max_col = col_counts.max(axis=0)
+    del col_counts
+    block = local_rows // block_size
+    block *= block_cols
+    block += local_cols // block_size
+    (n_blocks,) = _tile_key_stats(
+        tile, block, block_cols * block_cols, n_tiles, limit
+    )
+    del block
+    # diagonal offsets shifted into [0, 2p-1), weighted by their length
+    local_cols -= local_rows
+    local_cols += p - 1
+    # int32 halves the (2p-1, n_tiles) weighted table
+    diag_lengths = p - np.abs(np.arange(2 * p - 1, dtype=np.int32) - (p - 1))
+    n_diagonals, stored, longest = _tile_key_stats(
+        tile, local_cols, 2 * p - 1, n_tiles, limit, weights=diag_lengths
+    )
+    # field order of PROFILE_COLUMNS, then the histogram
+    return (
+        nnz, nnz_rows, nnz_cols, max_row, max_col, n_blocks,
+        nnz_block_rows, n_diagonals, stored, longest, hist,
     )
 
 

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis import characterization_report
 from repro.core import Constraints
 from repro.workloads import random_matrix
+from tests.conftest import CORPUS
+
+#: sha256 of the report text for corpus matrices, recorded while the
+#: report still profiled through the per-object ``profiles`` path; the
+#: columnar ``profile_table`` path must render the same bytes.
+PINNED_REPORTS = {
+    "band": (
+        "84c448cd5e080697d067c85e37559a568ab78d4513dd7224578f37fc8e68d30b"
+    ),
+    "rectangle": (
+        "b4790b05d6fc623fed3fdde78406b32d813a483a461b09ae966a31db57ddabd8"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +61,12 @@ class TestReportSections:
         assert "optimize latency:" in report
         assert "optimize bandwidth:" in report
         assert "optimize energy:" in report
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_text_is_pinned(name):
+    text = characterization_report(CORPUS[name], name=name)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[name]
 
 
 class TestReportOptions:

@@ -9,6 +9,98 @@ from repro.errors import ShapeError
 from repro.matrix import SparseMatrix
 
 
+def _reference_canonicalize(
+    shape: tuple[int, int],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort row-major, sum duplicates, drop explicit zeros."""
+    if not rows.size:
+        return rows, cols, vals
+    keys = rows * shape[1] + cols
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    summed = np.zeros(unique_keys.size)
+    np.add.at(summed, inverse, vals)
+    keep = summed != 0.0
+    unique_keys, summed = unique_keys[keep], summed[keep]
+    return unique_keys // shape[1], unique_keys % shape[1], summed
+
+
+def _case(shape, triplets):
+    rows, cols, vals = zip(*triplets)
+    return (
+        shape,
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=np.float64),
+    )
+
+
+def _shuffled(shape, nnz, seed, duplicates=0):
+    """``nnz`` distinct random positions (plus ``duplicates`` repeats of
+    some of them), in random order."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(shape[0] * shape[1], size=nnz, replace=False)
+    flat = np.concatenate([flat, rng.choice(flat, size=duplicates)])
+    rng.shuffle(flat)
+    vals = rng.uniform(-2.0, 2.0, size=flat.size)
+    return shape, flat // shape[1], flat % shape[1], vals
+
+
+_ORDER_DEPENDENT = [(1e16, 1.0, -1e16, 1.0), (1.0, 1e16, 1.0, -1e16)]
+
+
+def _heavy_duplicates(shape, nnz, seed):
+    """``nnz`` entries on few coordinates, in random order, with values
+    whose sums depend on the order they are added in.  Large enough
+    that an unstable sort reorders equal keys."""
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(0, shape[0] * shape[1], size=nnz)
+    vals = rng.choice([1e16, -1e16, 1.0, 3.0, -0.5], size=nnz)
+    return shape, flat // shape[1], flat % shape[1], vals
+
+CANONICALIZE_CASES = {
+    "sorted": _case((4, 5), [(0, 1, 1.5), (0, 4, 2.0), (2, 0, -1.0),
+                             (3, 3, 4.0)]),
+    "reversed": _case((4, 5), [(3, 3, 4.0), (2, 0, -1.0), (0, 4, 2.0),
+                               (0, 1, 1.5)]),
+    "shuffled": _shuffled((37, 53), 400, seed=1),
+    "shuffled-with-duplicates": _shuffled((37, 53), 400, seed=2,
+                                          duplicates=150),
+    "many-order-dependent-sums": _heavy_duplicates((7, 11), 30_000,
+                                                   seed=5),
+    "order-dependent-sum": _case(
+        (3, 3),
+        [(1, 1, v) for v in _ORDER_DEPENDENT[0]]
+        + [(0, 2, 5.0)]
+        + [(2, 0, v) for v in _ORDER_DEPENDENT[1]],
+    ),
+    "explicit-zeros-sorted": _case((3, 3), [(0, 0, 1.0), (1, 1, 0.0),
+                                            (2, 2, 2.0)]),
+    "explicit-zeros-unsorted": _case((3, 3), [(2, 2, 0.0), (0, 0, 1.0),
+                                              (1, 1, 0.0)]),
+    "negative-zero": _case((3, 3), [(0, 0, -0.0), (1, 2, 3.0),
+                                    (2, 1, -0.0)]),
+    "negative-zero-duplicate": _case((3, 3), [(1, 1, -0.0), (1, 1, -0.0),
+                                              (0, 0, 1.0)]),
+    "exact-cancellation": _case((2, 4), [(1, 3, 0.1), (0, 0, 2.0),
+                                         (1, 3, -0.1)]),
+    "all-cancel": _case((2, 2), [(0, 1, 3.0), (0, 1, -3.0)]),
+    "one-entry": _case((1, 1), [(0, 0, 7.25)]),
+    "one-row": _case((1, 9), [(0, 8, 1.0), (0, 0, 2.0), (0, 4, 3.0)]),
+    "one-col": _case((9, 1), [(8, 0, 1.0), (0, 0, 2.0), (4, 0, 3.0)]),
+    "wide": _shuffled((3, 70_000), 500, seed=3),
+    "tall": _shuffled((70_000, 3), 500, seed=4, duplicates=20),
+}
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return array.dtype.str.encode() + array.tobytes()
+
+
 class TestConstruction:
     def test_from_dense_roundtrip(self):
         dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
@@ -88,6 +180,48 @@ class TestConstruction:
     def test_identity(self):
         matrix = SparseMatrix.identity(4, scale=3.0)
         assert np.array_equal(matrix.to_dense(), 3.0 * np.eye(4))
+
+
+class TestCanonicalizeDifferential:
+    """Construction is bit-identical to the stable-sort-and-sum oracle."""
+
+    @pytest.mark.parametrize(
+        "case", sorted(CANONICALIZE_CASES), ids=str
+    )
+    def test_matches_reference(self, case):
+        shape, rows, cols, vals = CANONICALIZE_CASES[case]
+        expected = _reference_canonicalize(
+            shape, rows.copy(), cols.copy(), vals.copy()
+        )
+        matrix = SparseMatrix(shape, rows, cols, vals)
+        actual = (matrix.rows, matrix.cols, matrix.vals)
+        for got, want, dtype in zip(actual, expected, ("<i8", "<i8", "<f8")):
+            assert got.dtype.str == dtype
+            assert _bits(got) == _bits(want)
+
+    def test_order_dependent_sums_keep_input_order(self):
+        shape, rows, cols, vals = CANONICALIZE_CASES["order-dependent-sum"]
+        dense = SparseMatrix(shape, rows, cols, vals).to_dense()
+        assert dense[1, 1] == 1.0
+        assert dense[2, 0] == 0.0
+
+
+class TestOwnership:
+    """A matrix never shares memory with its caller's arrays."""
+
+    @pytest.mark.parametrize("case", ["sorted", "shuffled", "one-entry"])
+    def test_mutating_inputs_leaves_matrix_unchanged(self, case):
+        shape, *arrays = CANONICALIZE_CASES[case]
+        rows, cols, vals = (array.copy() for array in arrays)
+        assert rows.dtype == np.int64 and vals.dtype == np.float64
+        matrix = SparseMatrix(shape, rows, cols, vals)
+        before = [a.copy() for a in (matrix.rows, matrix.cols, matrix.vals)]
+        rows[:] = 0
+        cols[:] = 0
+        vals[:] = 99.0
+        after = (matrix.rows, matrix.cols, matrix.vals)
+        for old, new in zip(before, after):
+            assert _bits(old) == _bits(new)
 
 
 class TestProperties:

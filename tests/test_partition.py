@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.errors import PartitionError
 from repro.matrix import SparseMatrix
 from repro.partition import (
@@ -79,10 +82,12 @@ ORACLE_PARTITION_SIZES = (1, 3, 4, 8, 16, 32)
 ORACLE_BLOCK_SIZES = (1, 2, 3, 4, 5)
 
 
-def assert_matches_reference(matrix: SparseMatrix, p: int) -> None:
+def assert_matches_reference(
+    matrix: SparseMatrix, p: int, block_sizes=ORACLE_BLOCK_SIZES
+) -> None:
     """profile_table agrees with the per-tile reference at every b."""
     tiles = partition_matrix(matrix, p)
-    for block_size in ORACLE_BLOCK_SIZES:
+    for block_size in block_sizes:
         table = profile_table(matrix, p, block_size=block_size)
         assert len(table) == len(tiles)
         for profile, tile in zip(table.profiles(), tiles):
@@ -129,9 +134,10 @@ class TestProfiles:
     def test_shuffled_triplets_match_reference(self, p):
         """Entry order in the input never reaches the profile.
 
-        profile_table's stable sort by tile id relies on SparseMatrix
-        storing entries row-major; build from shuffled triplets and
-        check both that order and the profiles.
+        profile_table relies on SparseMatrix storing entries row-major
+        (each row's entries in one tile are one contiguous run); build
+        from shuffled triplets and check both that order and the
+        profiles.
         """
         ordered = random_matrix(5 * p + 2, 0.25, seed=11)
         triplets = list(zip(ordered.rows, ordered.cols, ordered.vals))
@@ -190,6 +196,83 @@ class TestProfiles:
         matrix = band_matrix(64, width=4, seed=0)
         for profile in profile_partitions(matrix, 16):
             assert profile.n_diagonals <= 5
+
+
+@pytest.fixture
+def counting_branches(monkeypatch):
+    """Record, per counting call in profile_table, whether it took the
+    dense-table branch (True) or the sort branch (False)."""
+    taken = {"tile ids": set(), "tile keys": set()}
+    count_keys = partition._count_keys
+    tile_key_stats = partition._tile_key_stats
+
+    def spy_count_keys(keys, size, limit):
+        taken["tile ids"].add(size <= limit)
+        return count_keys(keys, size, limit)
+
+    def spy_tile_key_stats(tile, key, width, n_tiles, limit, weights=None):
+        taken["tile keys"].add(n_tiles * width <= limit)
+        return tile_key_stats(tile, key, width, n_tiles, limit, weights)
+
+    monkeypatch.setattr(partition, "_count_keys", spy_count_keys)
+    monkeypatch.setattr(partition, "_tile_key_stats", spy_tile_key_stats)
+    return taken
+
+
+def _scattered(p: int, n_entries: int, seed: int) -> SparseMatrix:
+    """A few entries on a huge, ragged tile grid."""
+    shape = (p * 4000 + 3, p * 3000 + 1)
+    rng = np.random.default_rng(seed)
+    rows = np.append(rng.integers(0, shape[0], n_entries), shape[0] - 1)
+    cols = np.append(rng.integers(0, shape[1], n_entries), shape[1] - 1)
+    return SparseMatrix(shape, rows, cols, np.ones(rows.size))
+
+
+class TestProfileCounting:
+    """Both counting branches of profile_table against the reference."""
+
+    @pytest.mark.parametrize("p", [1, 5, 8, 32, 64])
+    def test_dense_and_sorted_counting_match_reference(
+        self, p, counting_branches
+    ):
+        block_sizes = (1, 3, 4, p + 1)
+        dense = random_matrix(3 * p + 5, 0.6, seed=p, n_cols=2 * p + 3)
+        assert_matches_reference(dense, p, block_sizes)
+        assert counting_branches["tile ids"] == {True}
+        assert_matches_reference(_scattered(p, 60, seed=p), p, block_sizes)
+        assert counting_branches["tile ids"] == {True, False}
+
+    def test_tile_key_sort_branch_matches_reference(self, counting_branches):
+        # 1 x 1 blocks of a 64 x 64 tile: a 4096-wide key per tile
+        assert_matches_reference(_scattered(64, 60, seed=1), 64, (1,))
+        assert False in counting_branches["tile keys"]
+        assert_matches_reference(SparseMatrix.from_dense(np.ones((9, 9))),
+                                 4, (1,))
+        assert counting_branches["tile keys"] == {True, False}
+
+    def test_many_tile_rows_per_call(self):
+        # more entries than one band group holds, so profile_table
+        # concatenates several groups' tables
+        matrix = random_matrix(700, 0.3, seed=5)
+        assert matrix.nnz > 2 * partition.PROFILE_CHUNK
+        assert_matches_reference(matrix, 32, (4,))
+
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    def test_hypersparse_huge_grid_is_cheap(self, p):
+        n = 10**7
+        rng = np.random.default_rng(p)
+        matrix = SparseMatrix(
+            (n, n), rng.integers(0, n, 200), rng.integers(0, n, 200),
+            rng.uniform(1.0, 2.0, 200),
+        )
+        assert_matches_reference(matrix, p, (4,))
+        tracemalloc.start()
+        try:
+            profile_table(matrix, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestProfileTable:
