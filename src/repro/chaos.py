@@ -1,10 +1,10 @@
 """Chaos campaign runner: seeded crash/recovery schedules, hard-gated.
 
-``repro chaos`` turns the deterministic fault layer
-(:mod:`repro.engine.chaos`) into a verdict.  One campaign runs N
-seeded *schedules*; each schedule injects a randomly drawn fault plan
-into a real target and then checks hard invariants on what recovery
-produced:
+``repro chaos`` turns the durability clauses of the deterministic
+fault grammar (:mod:`repro.engine.faults`) into a verdict.  One
+campaign runs N seeded *schedules*; each schedule injects a randomly
+drawn fault plan into a real target and then checks hard invariants
+on what recovery produced:
 
 * **queue schedules** — a distributed queue sweep runs under the
   plan (torn shard/checkpoint writes, suppressed heartbeats, ENOSPC,
@@ -40,7 +40,7 @@ from random import Random
 from . import io_atomic
 from .doctor import diagnose_queue
 from .engine import WorkloadSpec, checkpoint_digest
-from .engine.chaos import ChaosPlan, ChaosSpec
+from .engine.faults import FaultPlan, FaultSpec
 from .engine.distributed import QueueOptions
 from .engine.retry import RetryPolicy
 from .engine.runner import SweepRunner
@@ -87,43 +87,43 @@ def campaign_grid() -> list:
 # Fault-plan sampling (pure, seeded)
 # ----------------------------------------------------------------------
 _CATALOG = (
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "torn-write", "shards",
         frac=rng.choice((0.25, 0.5, 0.75)),
         after=rng.randrange(1, 5),
     ),
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "torn-write", "checkpoint",
         frac=rng.choice((0.25, 0.5, 0.75)),
         after=rng.randrange(1, 9),
     ),
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "stale-lease", "worker",
         after=rng.randrange(1, 3),
         times=None,
     ),
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "slow-io", "blobs",
         ms=rng.choice((5.0, 15.0, 30.0)),
         times=None,
     ),
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "disk-full", "shards", after=rng.randrange(2, 8)
     ),
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "disk-full", "checkpoint", after=rng.randrange(2, 9)
     ),
-    lambda rng: ChaosSpec(
+    lambda rng: FaultSpec(
         "crash", "worker", after=rng.randrange(1, 5)
     ),
-    lambda rng: ChaosSpec("crash", "merge"),
+    lambda rng: FaultSpec("crash", "merge"),
 )
 
 
-def random_plan(rng: Random) -> ChaosPlan:
+def random_plan(rng: Random) -> FaultPlan:
     """One schedule's fault plan: one or (sometimes) two draws."""
     n_specs = 2 if rng.random() < 0.3 else 1
-    return ChaosPlan.of(
+    return FaultPlan.of(
         *(rng.choice(_CATALOG)(rng) for _ in range(n_specs))
     )
 
@@ -163,7 +163,7 @@ def _run_queue_schedule(
         error_policy="collect",
         backend="queue",
         checkpoint=checkpoint,
-        chaos=plan,
+        faults=plan,
         queue_options=QueueOptions(
             queue_dir=str(queue_dir),
             lease_timeout_s=1.0,

@@ -272,7 +272,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         resume=args.resume,
         backend=args.backend,
         queue_options=_queue_options(args),
-        chaos=args.inject_chaos,
     )
     base_config = (
         HardwareConfig(integrity_check=True)
@@ -1451,15 +1450,10 @@ def build_parser() -> argparse.ArgumentParser:
         "execute only the rest",
     )
     sweep.add_argument(
-        # deterministic fault injection for testing the recovery
-        # machinery; see repro.engine.faults for the spec grammar
+        # deterministic fault injection (sweep cells and durability
+        # seams) for testing the recovery machinery; see
+        # repro.engine.faults for the spec grammar
         "--inject-faults", metavar="SPECS", default=None,
-        help=argparse.SUPPRESS,
-    )
-    sweep.add_argument(
-        # deterministic filesystem/process chaos (torn writes,
-        # ENOSPC, crashes); see repro.engine.chaos for the grammar
-        "--inject-chaos", metavar="SPECS", default=None,
         help=argparse.SUPPRESS,
     )
     sweep.add_argument(
@@ -2166,6 +2160,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if error.traceback_text:
             message = f"{error.traceback_text}\n{message}"
         parser.exit(2, message)
-    except CopernicusError as error:
+    except (CopernicusError, OSError) as error:
+        # OSError: a full disk or unwritable path is an operator
+        # problem, not a crash worth a traceback
         parser.exit(2, f"error: {error}\n")
     return 0

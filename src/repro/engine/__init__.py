@@ -26,7 +26,6 @@ for testing all of it.
 """
 
 from .cache import CacheStats, ContentKeyedCache, matrix_content_key
-from .chaos import ChaosPlan, ChaosSpec, install_plan, uninstall_plan
 from .checkpoint import (
     CheckpointState,
     CheckpointWriter,
@@ -62,10 +61,6 @@ __all__ = [
     "CacheStats",
     "ContentKeyedCache",
     "matrix_content_key",
-    "ChaosPlan",
-    "ChaosSpec",
-    "install_plan",
-    "uninstall_plan",
     "RetryPolicy",
     "call_with_retry",
     "CheckpointState",

@@ -67,7 +67,6 @@ from .. import io_atomic
 from ..errors import QueueError, SweepCellError
 from ..workloads.registry import Workload
 from .cache import CacheStats, ContentKeyedCache, matrix_content_key
-from .chaos import install_plan
 from .checkpoint import CheckpointWriter, cell_digest, load_checkpoint
 from .executors import (
     CheckpointSink,
@@ -395,11 +394,11 @@ def run_worker(
     """
     layout = QueueLayout(queue_dir)
     settings, n_shards = layout.load_meta()
-    if getattr(settings, "chaos", None) is not None:
-        # the chaos plan rides in queue.json so every worker — spawned
-        # or external — injects the same faults, with worker semantics
-        # (fatal faults really kill the process)
-        install_plan(settings.chaos, role="worker")
+    if settings.faults is not None and settings.faults.durable:
+        # the plan rides in queue.json so every worker — spawned or
+        # external — injects the same durability faults, with worker
+        # semantics (fatal faults really kill the process)
+        settings.faults.install("worker")
     if worker_id is None:
         worker_id = f"w-{os.uname().nodename}-{os.getpid()}"
     if poll_interval_s <= 0:

@@ -357,10 +357,6 @@ class ExecutionSettings:
     chunk_timeout: float | None = None
     max_workers: int = 1
     max_pool_restarts: int | None = None
-    #: A :class:`~repro.engine.chaos.ChaosPlan` injecting durability
-    #: faults; queue workers install it from ``queue.json`` with
-    #: worker semantics (fatal faults kill the process).
-    chaos: "object | None" = None
 
 
 class CheckpointSink:

@@ -41,7 +41,9 @@ Orthogonal services the runner provides to all backends:
     metrics, cache counters, and each backend's recovery counters
     (``sweep.pool_restarts``, ``sweep.queue.reclaims``, ...).
 *   **Fault injection** (``faults=...``) — deterministic exceptions,
-    worker crashes, delays and stream corruption at chosen cells.
+    worker crashes, delays and stream corruption at chosen cells, and
+    torn writes, stale leases, full disks and crashes at the
+    durability seams.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from .executors import (
     _ChunkOutput,
     make_executor,
 )
-from .chaos import ChaosPlan, install_plan, uninstall_plan
 from .faults import FaultPlan
 from .grid import (
     EncodeSummary,
@@ -132,8 +133,14 @@ class SweepRunner:
         chunk (retried, bisected, then failed with
         ``error_type="ChunkTimeout"``).
     faults:
-        A :class:`FaultPlan` (or its compact string form) injecting
-        deterministic failures for testing; ``None`` disables.
+        A :class:`~repro.engine.faults.FaultPlan` (or its compact
+        string form) injecting deterministic failures for testing;
+        ``None`` disables.  Cell clauses fire before matching cells;
+        durability clauses (torn checkpoint writes, stale leases, full
+        disks) are installed with coordinator semantics in this
+        process (fatal ones raise :class:`~repro.errors.ChaosCrash`)
+        and shipped to queue workers, which install them with worker
+        semantics (fatal ones kill the worker).
     checkpoint:
         Path of an append-only JSONL checkpoint; every completed cell
         is appended and flushed as soon as the parent sees it (the
@@ -151,15 +158,6 @@ class SweepRunner:
         A :class:`~repro.engine.distributed.QueueOptions` for the
         ``"queue"`` backend (queue directory, spawned worker count,
         lease timeout, ...).  Rejected for any other backend.
-    chaos:
-        A :class:`~repro.engine.chaos.ChaosPlan` (or its compact
-        string form) injecting deterministic *durability* faults —
-        torn checkpoint writes, stale leases, full disks — for the
-        chaos campaign; ``None`` disables.  Installed with
-        coordinator semantics in this process (fatal faults raise
-        :class:`~repro.errors.ChaosCrash`) and shipped to queue
-        workers, which install it with worker semantics (fatal
-        faults kill the worker).
     """
 
     def __init__(
@@ -176,7 +174,6 @@ class SweepRunner:
         max_pool_restarts: int | None = None,
         backend: str = "auto",
         queue_options=None,
-        chaos: "ChaosPlan | str | None" = None,
     ) -> None:
         if not isinstance(max_workers, int) or isinstance(
             max_workers, bool
@@ -225,8 +222,6 @@ class SweepRunner:
             )
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
-        if isinstance(chaos, str):
-            chaos = ChaosPlan.parse(chaos)
         self.max_workers = max_workers
         self.encode = encode
         self.telemetry = telemetry
@@ -239,7 +234,6 @@ class SweepRunner:
         self.max_pool_restarts = max_pool_restarts
         self.backend = backend
         self.queue_options = queue_options
-        self.chaos = chaos
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -289,19 +283,18 @@ class SweepRunner:
             chunk_timeout=self.chunk_timeout,
             max_workers=self.max_workers,
             max_pool_restarts=self.max_pool_restarts,
-            chaos=self.chaos,
         )
 
     # ------------------------------------------------------------------
     def run(self, cells: Sequence[SweepCell]) -> SweepOutcome:
         """Execute every cell; results come back in grid order."""
-        if self.chaos is None:
+        if self.faults is None or not self.faults.durable:
             return self._run(cells)
-        install_plan(self.chaos, role="coordinator")
+        self.faults.install("coordinator")
         try:
             return self._run(cells)
         finally:
-            uninstall_plan()
+            self.faults.uninstall()
 
     def _run(self, cells: Sequence[SweepCell]) -> SweepOutcome:
         cells = list(cells)
@@ -482,7 +475,6 @@ def run_sweep(
     resume: bool = False,
     backend: str = "auto",
     queue_options=None,
-    chaos: "ChaosPlan | str | None" = None,
 ) -> SweepOutcome:
     """One-shot convenience wrapper around :class:`SweepRunner`."""
     runner = SweepRunner(
@@ -497,7 +489,6 @@ def run_sweep(
         resume=resume,
         backend=backend,
         queue_options=queue_options,
-        chaos=chaos,
     )
     return runner.run_grid(
         workloads, format_names, partition_sizes, base_config

@@ -17,7 +17,7 @@ file to a reader.  Two disciplines cover every write site:
     drop and :func:`repair_torn_tail` truncates away.
 
 This module also owns the **fault-hook registry** that
-:mod:`repro.engine.chaos` injects into.  Write sites announce each
+:mod:`repro.engine.faults` injects into.  Write sites announce each
 operation through :func:`fire` *before* performing it; an installed
 hook may delay the operation, raise (``ENOSPC``, a chaos crash), kill
 the process outright, or raise :class:`HookSuppressed` to skip the

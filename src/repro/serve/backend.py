@@ -16,6 +16,7 @@ one typed exception the server maps to a structured error response.
 from __future__ import annotations
 
 from ..engine.faults import FaultPlan
+from ..errors import SweepConfigError
 from ..engine.runner import SweepRunner
 from .protocol import (
     Query,
@@ -33,12 +34,20 @@ class SweepBackend:
     ``faults`` threads a deterministic
     :class:`~repro.engine.faults.FaultPlan` into every sweep — the
     robustness-test hook: an injected crash or corrupt stream fails the
-    request, not the server.
+    request, not the server.  Only cell clauses are accepted: a server
+    runs many sweeps at once on threads, and the io_atomic hooks
+    durability clauses install are process-global.
     """
 
     def __init__(self, faults: "FaultPlan | str | None" = None) -> None:
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
+        if faults is not None and faults.durable:
+            raise SweepConfigError(
+                f"a server accepts only sweep-cell faults; durability "
+                f"clauses install process-global hooks that concurrent "
+                f"sweeps would share: {FaultPlan(faults.durable).describe()}"
+            )
         self.faults = faults
         #: Completed backend computations (not HTTP requests).
         self.computations = 0

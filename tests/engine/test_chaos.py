@@ -1,4 +1,4 @@
-"""The chaos grammar, firing semantics, and recoverability of each fault."""
+"""Durability clauses: grammar, firing semantics, recoverability."""
 
 from __future__ import annotations
 
@@ -10,15 +10,14 @@ from pathlib import Path
 import pytest
 
 from repro import io_atomic
-from repro.engine.chaos import (
-    CHAOS_OPS,
-    ChaosPlan,
-    ChaosSpec,
-    active_plan,
-    install_plan,
-    uninstall_plan,
+from repro.engine import (
+    FaultPlan,
+    FaultSpec,
+    SweepRunner,
+    WorkloadSpec,
+    load_checkpoint,
 )
-from repro.engine import SweepRunner, WorkloadSpec, load_checkpoint
+from repro.engine.faults import HOOK_OPS
 from repro.engine.checkpoint import checkpoint_digest
 from repro.errors import ChaosCrash, SweepConfigError
 from repro.io_atomic import HookSuppressed
@@ -30,10 +29,8 @@ PARTITIONS = (8,)
 
 @pytest.fixture(autouse=True)
 def _no_leaked_plan():
-    uninstall_plan()
     io_atomic.clear_hooks()
     yield
-    uninstall_plan()
     io_atomic.clear_hooks()
 
 
@@ -42,7 +39,7 @@ def _no_leaked_plan():
 # ----------------------------------------------------------------------
 class TestGrammar:
     def test_parse_full_plan(self):
-        plan = ChaosPlan.parse(
+        plan = FaultPlan.parse(
             "torn-write@checkpoint#frac=0.4#after=3,"
             "stale-lease@worker#after=2#times=none,"
             "slow-io@blobs#ms=40,"
@@ -66,8 +63,9 @@ class TestGrammar:
             "slow-io@blobs#ms=15#times=none,"
             "crash@worker"
         )
-        plan = ChaosPlan.parse(text)
-        assert ChaosPlan.parse(plan.describe()).specs == plan.specs
+        plan = FaultPlan.parse(text)
+        assert plan.describe() == text
+        assert FaultPlan.parse(plan.describe()) == plan
 
     @pytest.mark.parametrize(
         "text",
@@ -85,16 +83,12 @@ class TestGrammar:
     )
     def test_bad_specs_raise(self, text):
         with pytest.raises(SweepConfigError):
-            ChaosPlan.parse(text)
+            FaultPlan.parse(text)
 
     def test_sigterm_never_hook_fires(self):
-        spec = ChaosSpec("sigterm", "serve")
-        for op in CHAOS_OPS:
-            assert not spec.matches(op, Path("/tmp/x"))
-
-    def test_serve_specs_split_out(self):
-        plan = ChaosPlan.parse("sigterm@serve,crash@merge")
-        assert [s.kind for s in plan.serve_specs()] == ["sigterm"]
+        spec = FaultSpec("sigterm", "serve", midflight=True)
+        for op in HOOK_OPS:
+            assert not spec.listens(op, Path("/tmp/x"))
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +96,10 @@ class TestGrammar:
 # ----------------------------------------------------------------------
 class TestFiring:
     def test_after_and_times_bound_the_firings(self, tmp_path):
-        plan = ChaosPlan.of(
-            ChaosSpec("disk-full", "checkpoint", after=3, times=2)
+        plan = FaultPlan.of(
+            FaultSpec("disk-full", "checkpoint", after=3, times=2)
         )
-        install_plan(plan, role="coordinator")
+        plan.install("coordinator")
         path = tmp_path / "report.json"
         fired = 0
         for _ in range(6):
@@ -115,46 +109,44 @@ class TestFiring:
                 fired += 1
         # ops 1-2 pass, ops 3-4 fire, ops 5-6 pass (times exhausted)
         assert fired == 2
-        assert plan.fired_counts() == {"disk-full@checkpoint": 2}
 
     def test_stale_lease_suppresses_heartbeats(self, tmp_path):
-        plan = ChaosPlan.of(
-            ChaosSpec("stale-lease", "worker", times=None)
+        plan = FaultPlan.of(
+            FaultSpec("stale-lease", "worker", times=None)
         )
-        install_plan(plan, role="worker")
+        plan.install("worker")
         with pytest.raises(HookSuppressed):
             io_atomic.fire("queue.heartbeat", tmp_path / "claim")
 
     def test_crash_at_merge_raises_on_the_coordinator(self, tmp_path):
-        install_plan(
-            ChaosPlan.of(ChaosSpec("crash", "merge")),
-            role="coordinator",
-        )
+        FaultPlan.of(FaultSpec("crash", "merge")).install("coordinator")
         with pytest.raises(ChaosCrash):
             io_atomic.fire("queue.merge", tmp_path / "queue")
 
     def test_pickle_resets_the_firing_counters(self, tmp_path):
-        plan = ChaosPlan.of(ChaosSpec("crash", "merge"))
-        install_plan(plan, role="coordinator")
+        # the counters live in the installed hook, not in the plan: a
+        # pickled clone (what a queue worker receives) starts fresh
+        plan = FaultPlan.of(FaultSpec("crash", "merge"))
+        plan.install("coordinator")
         with pytest.raises(ChaosCrash):
             io_atomic.fire("queue.merge", tmp_path / "queue")
-        assert plan.fired_counts() == {"crash@merge": 1}
+        io_atomic.fire("queue.merge", tmp_path / "queue")  # times=1 spent
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.specs == plan.specs
-        assert clone.fired_counts() == {}
+        assert clone == plan
+        clone.install("coordinator")
+        with pytest.raises(ChaosCrash):
+            io_atomic.fire("queue.merge", tmp_path / "queue")
 
     def test_install_uninstall_lifecycle(self):
-        plan = ChaosPlan.parse("crash@merge")
-        install_plan(plan, role="coordinator")
-        assert active_plan() is plan
-        assert set(io_atomic.installed_hooks()) == set(CHAOS_OPS)
-        uninstall_plan()
-        assert active_plan() is None
+        plan = FaultPlan.parse("crash@merge")
+        plan.install("coordinator")
+        assert set(io_atomic.installed_hooks()) == set(HOOK_OPS)
+        plan.uninstall()
         assert io_atomic.installed_hooks() == ()
 
     def test_bad_role_rejected(self):
         with pytest.raises(SweepConfigError):
-            install_plan(ChaosPlan.parse("crash@merge"), role="bystander")
+            FaultPlan.parse("crash@merge").install("bystander")
 
 
 # ----------------------------------------------------------------------
@@ -171,17 +163,15 @@ class TestTornWriteRecovery:
     def test_torn_checkpoint_resumes_to_identical_digest(self, tmp_path):
         reference = self._reference_digest(tmp_path)
         torn = tmp_path / "torn.jsonl"
-        install_plan(
-            ChaosPlan.of(
-                ChaosSpec("torn-write", "checkpoint", frac=0.6, after=2)
-            ),
-            role="coordinator",
+        plan = FaultPlan.of(
+            FaultSpec("torn-write", "checkpoint", frac=0.6, after=2)
         )
         with pytest.raises(ChaosCrash):
-            SweepRunner(checkpoint=torn).run_grid(
+            SweepRunner(checkpoint=torn, faults=plan).run_grid(
                 SPECS, format_names=FORMATS, partition_sizes=PARTITIONS
             )
-        uninstall_plan()
+        # the runner uninstalls its hooks even when the run dies
+        assert io_atomic.installed_hooks() == ()
         # the tear left a ragged tail; recovery tolerates it and the
         # resumed sweep lands on the byte-for-byte reference digest
         SweepRunner(checkpoint=torn, resume=True).run_grid(
@@ -191,12 +181,11 @@ class TestTornWriteRecovery:
         assert len(load_checkpoint(torn)) == len(FORMATS)
 
     def test_disk_full_surfaces_enospc(self, tmp_path):
-        install_plan(
-            ChaosPlan.of(ChaosSpec("disk-full", "checkpoint")),
-            role="coordinator",
-        )
         with pytest.raises(OSError) as excinfo:
-            SweepRunner(checkpoint=tmp_path / "full.jsonl").run_grid(
+            SweepRunner(
+                checkpoint=tmp_path / "full.jsonl",
+                faults="disk-full@checkpoint",
+            ).run_grid(
                 SPECS, format_names=FORMATS, partition_sizes=PARTITIONS
             )
         assert "No space left" in str(excinfo.value)
@@ -210,10 +199,8 @@ import sys
 sys.path.insert(0, {src!r})
 from pathlib import Path
 from repro import io_atomic
-from repro.engine.chaos import ChaosPlan, ChaosSpec, install_plan
-install_plan(
-    ChaosPlan.of(ChaosSpec("crash", "worker")), role="worker"
-)
+from repro.engine.faults import FaultPlan
+FaultPlan.parse("crash@worker").install("worker")
 io_atomic.fire(
     "checkpoint.append", Path({shard!r}), b'{{"cell": 1}}\\n'
 )

@@ -15,6 +15,12 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
+from repro.cli import main
+from repro.errors import SweepConfigError
+from repro.serve.backend import SweepBackend
+from repro.serve.server import CharacterizationServer
 from tests.serve.helpers import (
     characterize_payload,
     get_path,
@@ -237,3 +243,35 @@ class TestAdvisorModelResilience:
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(payload))
         self._assert_degraded_to_exact(str(path))
+
+
+class TestDurabilityFaultsRefused:
+    """io_atomic hooks are process-global; a server's sweeps share them."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            "disk-full@checkpoint",
+            "crash@*:csr:*,torn-write@shards#after=2",
+            "sigterm@serve#midflight",
+        ],
+    )
+    def test_backend_refuses_durability_clauses(self, faults) -> None:
+        with pytest.raises(SweepConfigError, match="sweep-cell faults"):
+            SweepBackend(faults=faults)
+        with pytest.raises(SweepConfigError):
+            CharacterizationServer("127.0.0.1", 0, faults=faults)
+
+    def test_cell_clauses_are_still_accepted(self) -> None:
+        assert SweepBackend(faults=CRASH_CSR).faults.describe() == CRASH_CSR
+
+    def test_cli_exits_2_without_a_traceback(self, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--port", "0",
+                "--inject-faults", "disk-full@checkpoint",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

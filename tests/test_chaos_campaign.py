@@ -42,11 +42,11 @@ class TestPlanDrawing:
         )
 
     def test_drawn_plans_parse_back(self):
-        from repro.engine.chaos import ChaosPlan
+        from repro.engine.faults import FaultPlan
 
         for seed in range(20):
             plan = random_plan(Random(seed))
-            assert ChaosPlan.parse(plan.describe()).specs == plan.specs
+            assert FaultPlan.parse(plan.describe()) == plan
 
     def test_campaign_grid_is_small_and_fixed(self):
         # 2 workloads x 2 formats x 2 partition sizes = 8 cells per

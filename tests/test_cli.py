@@ -139,6 +139,21 @@ class TestSweepAndAdvise:
         out = run_cli(capsys, "compare", str(path), str(path))
         assert "no metric changes" in out
 
+    def test_full_disk_is_a_typed_exit(self, capsys, tmp_path):
+        checkpoint = tmp_path / "ck.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--group", "band", "--checkpoint", str(checkpoint),
+                "--inject-faults", "disk-full@checkpoint#after=5",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "No space left" in line
+        # the cells appended before the fault survive for --resume
+        assert len(checkpoint.read_text().splitlines()) >= 4
+
     def test_unknown_standin_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["characterize", "--standin", "XX", "-f", "csr"])
