@@ -5,9 +5,9 @@ extension itself.  It trains the ridge advisor on the workload-zoo
 training split, then reports (a) ranking agreement with the exact
 vectorized model on the held-out split and (b) the advise-latency gap
 on paper-adjacent workloads.  The asserted floors are deliberately
-looser than the CI accuracy gate (``repro advisor bench
---require-spearman 0.9 --require-top3 0.95 --require-speedup 50``) so
-this stays a qualitative shape check, not a second flaky gate.
+looser than the gates of ``repro bench advisor`` (mean Spearman >= 0.9,
+top-3 agreement >= 0.95, minimum speedup >= 50x) so this stays a
+qualitative shape check, not a second flaky gate.
 """
 
 from __future__ import annotations
@@ -77,6 +77,6 @@ def test_ext_advisor(benchmark):
     assert accuracy["spearman_mean"] > 0.9
     assert accuracy["top3_agreement"] > 0.9
     # ...and answer at least an order of magnitude faster; the sized
-    # CI gate (>= 50x at n=2048) runs via `repro advisor bench`.
+    # CI gate (>= 50x at n=2048) runs via `repro bench advisor`.
     assert latency["speedup_min"] > 10
     assert latency["fast_ms_geomean"] < latency["exact_ms_geomean"]

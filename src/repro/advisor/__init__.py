@@ -16,18 +16,16 @@ too small to trust:
   identical across worker counts;
 * :mod:`~repro.advisor.predict` — :func:`recommend_fast`, the
   O(features) ranking with margin-gated exact verification;
-* :mod:`~repro.advisor.bench` — the ``bench_advisor/v1`` accuracy
-  contract (Spearman, top-1/top-3, exact-vs-fast latency), gated in
-  CI.
+* :mod:`~repro.advisor.bench` — the accuracy contract (Spearman,
+  top-1/top-3, exact-vs-fast latency), the gated ``repro bench
+  advisor`` suite.
 """
 
 from .bench import (
-    BENCH_ADVISOR_SCHEMA,
     bench_advisor,
     default_latency_specs,
     rankdata,
     spearman,
-    write_advisor_report,
 )
 from .dataset import (
     TrainingRow,
@@ -61,12 +59,10 @@ from .predict import FastAdvice, recommend_fast, static_estimates
 from .train import sweep_training_rows, train_model
 
 __all__ = [
-    "BENCH_ADVISOR_SCHEMA",
     "bench_advisor",
     "default_latency_specs",
     "rankdata",
     "spearman",
-    "write_advisor_report",
     "TrainingRow",
     "features_for_specs",
     "rows_digest",

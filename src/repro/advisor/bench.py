@@ -1,4 +1,4 @@
-"""The measured accuracy contract: ``bench_advisor/v1``.
+"""The measured accuracy contract: ``repro bench advisor``.
 
 A trained advisor is only trustworthy if its error is measured and
 pinned.  This module computes, on the held-out workload split the
@@ -12,14 +12,14 @@ model never trained on:
 * **latency** — wall time of the fast path vs the exact advise path
   on paper-scale matrices, best-of-``repeats``.
 
-The report is versioned (``bench_advisor/v1``), golden-schema tested,
-and gated in CI (``repro advisor bench --require-spearman 0.9
---require-top3 0.95 --require-speedup 50``).
+The suite writes a ``bench/v2`` report, golden-schema tested, whose
+gates are held-out mean Spearman >= 0.9, top-3 agreement >= 0.95 and
+a minimum fast-path speedup >= 50x (full runs only: a quick run's
+small latency matrices say nothing about it).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from pathlib import Path
@@ -27,25 +27,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import io_atomic
 from ..core.recommend import recommend
 from ..engine.specs import WorkloadSpec
-from ..errors import AdvisorError
-from ..observability import machine_metadata
+from ..envelope import Gate, Param, Suite
+from ..errors import AdvisorError, AdvisorModelError
 from .model import AdvisorModel
 from .predict import recommend_fast
 
 __all__ = [
-    "BENCH_ADVISOR_SCHEMA",
+    "SUITE",
     "rankdata",
     "spearman",
     "default_latency_specs",
     "bench_advisor",
-    "write_advisor_report",
 ]
-
-#: Version tag of the accuracy/latency report.
-BENCH_ADVISOR_SCHEMA = "bench_advisor/v1"
 
 
 def rankdata(values: Sequence[float]) -> np.ndarray:
@@ -83,21 +78,24 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     return float(da @ db) / denom
 
 
-def default_latency_specs(n: int = 2048) -> tuple[WorkloadSpec, ...]:
+def default_latency_specs(
+    n: int = 2048, seed: int = 11
+) -> tuple[WorkloadSpec, ...]:
     """Paper-scale matrices for the exact-vs-fast wall-time contest.
 
     Large enough that the exact path's per-partition-size profiling
     dominates, which is exactly the cost the advisor amortizes away.
+    The three matrices use seeds ``seed``, ``seed + 1``, ``seed + 2``.
     """
     return (
         WorkloadSpec.random(
-            n, 0.05, seed=11, name=f"lat-rand-n{n}-d0.05"
+            n, 0.05, seed=seed, name=f"lat-rand-n{n}-d0.05"
         ),
         WorkloadSpec.random(
-            n, 0.01, seed=12, name=f"lat-rand-n{n}-d0.01"
+            n, 0.01, seed=seed + 1, name=f"lat-rand-n{n}-d0.01"
         ),
         WorkloadSpec.band(
-            n, 256, seed=13, name=f"lat-band-n{n}-w256"
+            n, 256, seed=seed + 2, name=f"lat-band-n{n}-w256"
         ),
     )
 
@@ -130,7 +128,11 @@ def bench_advisor(
     repeats: int = 3,
     latency_specs: Sequence[WorkloadSpec] | None = None,
 ) -> dict:
-    """Measure the accuracy contract on the held-out split."""
+    """Measure the accuracy contract on the held-out split.
+
+    Returns the report sections; :data:`SUITE` wraps them in the
+    ``bench/v2`` envelope.
+    """
     if not heldout:
         raise AdvisorError("need >= 1 held-out workload to benchmark")
     formats = model.formats
@@ -190,8 +192,6 @@ def bench_advisor(
     spearmen = [w["spearman"] for w in per_workload]
     speedups = [r["speedup"] for r in latency_rows]
     return {
-        "schema": BENCH_ADVISOR_SCHEMA,
-        "machine": machine_metadata(),
         "model": {
             "digest": model.digest,
             "feature_p": model.feature_p,
@@ -242,9 +242,84 @@ def _geomean(values: Sequence[float]) -> float:
     )
 
 
-def write_advisor_report(report: dict, path: str | Path) -> Path:
-    """Write the ``BENCH_advisor.json`` report (stable key order)."""
-    return io_atomic.atomic_write_text(
-        Path(path),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
+def advisor_sections(
+    seed: int, model: str, repeats: int, latency_n: int
+) -> dict:
+    """Load the model artifact and bench it on its held-out split."""
+    from .model import load_model
+    from .dataset import split_holdout, workload_zoo
+
+    if not Path(model).is_file():
+        raise AdvisorModelError(
+            f"--model not found: {model} (train one with "
+            "`repro advisor train --out PATH`)"
+        )
+    loaded = load_model(model)
+    meta = loaded.training
+    zoo = workload_zoo(int(meta.get("zoo_seed", 0)))
+    _, heldout = split_holdout(
+        zoo,
+        float(meta.get("holdout_fraction", 0.25)),
+        int(meta.get("split_seed", 0)),
     )
+    return bench_advisor(
+        loaded,
+        heldout,
+        repeats=repeats,
+        latency_specs=default_latency_specs(latency_n, seed),
+    )
+
+
+def _describe(report: dict) -> list[str]:
+    accuracy = report["accuracy"]
+    latency = report["latency"]
+    lines = [
+        f"held-out accuracy over {report['config']['n_heldout']} "
+        f"workloads x {report['config']['n_cells']} design points:",
+        f"  spearman: mean {accuracy['spearman_mean']:.4f}, "
+        f"min {accuracy['spearman_min']:.4f}",
+        f"  agreement: top-1 {accuracy['top1_agreement']:.3f}, "
+        f"top-3 {accuracy['top3_agreement']:.3f}",
+        "advise latency (exact vs fast path):",
+    ]
+    for row in latency["per_workload"]:
+        lines.append(
+            f"  {row['workload']}: {row['exact_ms']:.1f} ms -> "
+            f"{row['fast_ms']:.2f} ms ({row['speedup']:.0f}x)"
+        )
+    lines.append(
+        f"  speedup: geomean {latency['speedup_geomean']:.0f}x, "
+        f"min {latency['speedup_min']:.0f}x"
+    )
+    return lines
+
+
+_GATES = (
+    Gate("spearman_mean", "accuracy.spearman_mean", ">=", 0.9),
+    Gate("top3_agreement", "accuracy.top3_agreement", ">=", 0.95),
+    Gate("speedup_min", "latency.speedup_min", ">=", 50),
+)
+
+#: ``repro bench advisor``; the seed picks the latency matrices.
+SUITE = Suite(
+    name="advisor",
+    help="measure the advisor's held-out accuracy and fast-path "
+    "speedup",
+    seed=11,
+    output="BENCH_advisor.json",
+    params=(
+        Param(
+            "model", "advisor_model.json",
+            "advisor_model/v1 artifact to benchmark",
+        ),
+        Param("repeats", 3, "latency timing repeats, best-of reported",
+              quick=1),
+        Param("latency_n", 2048,
+              "matrix dimension of the exact-vs-fast latency contest",
+              quick=512),
+    ),
+    body=advisor_sections,
+    gates=_GATES,
+    quick_gates=_GATES[:2],
+    describe=_describe,
+)

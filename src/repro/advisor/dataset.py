@@ -12,7 +12,7 @@ cycles`` observations.  They come from either
   model, byte for byte.
 
 The held-out split is seeded and deterministic: the split parameters
-are recorded in the trained artifact, and ``repro advisor bench``
+are recorded in the trained artifact, and ``repro bench advisor``
 reconstructs the exact workloads the model never saw.
 """
 

@@ -8,39 +8,29 @@ the two agree bit for bit, and reports throughput as cells/sec (matrix
 cells swept per second) and tiles/sec (non-zero partitions timed per
 second).
 
-Used by ``benchmarks/bench_speed.py`` and the ``repro bench``
-sub-command; both write the ``BENCH_pipeline.json`` report.
+``repro bench pipeline`` runs it as a ``bench/v2`` suite and writes
+``BENCH_pipeline.json``; the one gate is that the batch path is never
+slower than the scalar reference.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
-from . import io_atomic
+from .analysis import format_table
+from .envelope import Gate, Param, Suite
 from .errors import SimulationError
 from .formats.registry import PAPER_FORMATS
 from .hardware.config import HardwareConfig
 from .hardware.pipeline import StreamingPipeline
 from .matrix import SparseMatrix
-from .observability import machine_metadata
 from .partition import profile_table
 from .workloads import band_matrix, random_matrix
 
-__all__ = [
-    "BenchResult",
-    "bench_pipeline",
-    "bench_report",
-    "write_report",
-    "BENCH_REPORT_SCHEMA",
-]
-
-#: Schema tag stamped into every report for forward compatibility.
-BENCH_REPORT_SCHEMA = "bench_pipeline/v1"
+__all__ = ["BenchResult", "SUITE", "bench_pipeline", "pipeline_sections"]
 
 
 @dataclass(frozen=True)
@@ -172,15 +162,25 @@ def bench_pipeline(
     return results
 
 
-def bench_report(
-    results: Sequence[BenchResult],
+def pipeline_sections(
+    seed: int,
     n: int,
-    p: int,
+    partition: int,
     density: float,
     band_width: int,
+    formats: Sequence[str],
     repeats: int,
 ) -> dict:
-    """The ``BENCH_pipeline.json`` payload for a finished run."""
+    """Run :func:`bench_pipeline` and return the report sections."""
+    results = bench_pipeline(
+        n=n,
+        p=partition,
+        density=density,
+        band_width=band_width,
+        formats=tuple(formats),
+        repeats=repeats,
+        seed=seed,
+    )
     speedups = [r.speedup for r in results]
     geomean = (
         math.exp(sum(math.log(s) for s in speedups) / len(speedups))
@@ -188,15 +188,6 @@ def bench_report(
         else 0.0
     )
     return {
-        "schema": BENCH_REPORT_SCHEMA,
-        "machine": machine_metadata(),
-        "config": {
-            "n": n,
-            "partition_size": p,
-            "density": density,
-            "band_width": band_width,
-            "repeats": repeats,
-        },
         "results": [r.as_dict() for r in results],
         "summary": {
             "min_speedup": min(speedups, default=0.0),
@@ -206,8 +197,57 @@ def bench_report(
     }
 
 
-def write_report(report: dict, path: str | Path) -> Path:
-    """Write the report as indented JSON; returns the path."""
-    return io_atomic.atomic_write_text(
-        Path(path), json.dumps(report, indent=2) + "\n"
-    )
+def _describe(report: dict) -> list[str]:
+    config = report["config"]
+    rows = [
+        [
+            r["workload"],
+            r["format_name"],
+            r["n_tiles"],
+            r["scalar_s"] * 1e3,
+            r["batch_s"] * 1e3,
+            r["speedup"],
+            r["batch_cells_per_s"] / 1e6,
+        ]
+        for r in report["results"]
+    ]
+    summary = report["summary"]
+    return [
+        format_table(
+            ["workload", "format", "tiles", "scalar ms", "batch ms",
+             "speedup", "Mcells/s"],
+            rows,
+            title=(
+                f"Pipeline batch vs scalar, {config['n']}x{config['n']}, "
+                f"p={config['partition']}"
+            ),
+        ),
+        "",
+        f"speedup: min {summary['min_speedup']:.1f}x, "
+        f"geomean {summary['geomean_speedup']:.1f}x, "
+        f"max {summary['max_speedup']:.1f}x",
+    ]
+
+
+#: ``repro bench pipeline``: the batch path must never lose to the
+#: scalar reference, on quick runs too.
+SUITE = Suite(
+    name="pipeline",
+    help="time the batch pipeline against the scalar reference",
+    seed=0,
+    output="BENCH_pipeline.json",
+    params=(
+        Param("n", 8000, "matrix dimension", quick=1024),
+        Param("partition", 8, "partition size"),
+        Param("density", 0.01, "density of the random workload"),
+        Param("band_width", 64, "width of the band workload"),
+        Param(
+            "formats", tuple(PAPER_FORMATS), "formats to bench",
+            type=str, nargs="+",
+        ),
+        Param("repeats", 1, "timing repeats, best-of reported"),
+    ),
+    body=pipeline_sections,
+    gates=(Gate("batch_not_slower", "summary.min_speedup", ">=", 1.0),),
+    describe=_describe,
+)

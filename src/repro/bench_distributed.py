@@ -3,7 +3,8 @@
 Quantifies the two claims the queue backend makes:
 
 1. **Scaling** — the same grid swept through ``backend="queue"`` at
-   1, 2 and 4 workers, with a fixed per-cell service-time floor
+   1, 2 and 4 workers (counts above ``os.cpu_count()`` are dropped),
+   with a fixed per-cell service-time floor
    injected through the fault plan (``delay@every:1``).  On a
    single-core container the *compute* cannot parallelize, but the
    service floor models the I/O- and memory-bound stalls that
@@ -20,13 +21,13 @@ Quantifies the two claims the queue backend makes:
    (``read_matrix_market`` + ``profile_table``) and the streaming
    path (``streaming_profile_table``).
 
-Used by ``benchmarks/bench_distributed.py`` and the
-``repro bench-distributed`` sub-command.
+``repro bench distributed`` runs both as a ``bench/v2`` suite.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -34,45 +35,51 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from .analysis import format_table
 from .engine import SweepRunner, WorkloadSpec, checkpoint_digest
 from .engine.distributed import QueueOptions
-from . import io_atomic
+from .envelope import Gate, Param, Suite
 from .errors import SimulationError
 from .formats.registry import PAPER_FORMATS
-from .observability import machine_metadata
 
 __all__ = [
-    "BENCH_DISTRIBUTED_SCHEMA",
-    "bench_distributed",
+    "SUITE",
     "bench_queue_scaling",
     "bench_streaming_rss",
+    "distributed_sections",
     "scaling_specs",
-    "write_distributed_report",
+    "usable_worker_counts",
 ]
 
-#: Schema tag stamped into every report for forward compatibility.
-BENCH_DISTRIBUTED_SCHEMA = "bench_distributed/v1"
-
-#: Speedup floor at two workers the committed report must clear.
+#: Speedup floor at two workers a full run must clear.
 SCALING_GATE_2_WORKERS = 1.7
 
+#: Streaming-profile memory budget; the out-of-core matrix's triplets
+#: must exceed it for the RSS comparison to mean anything.
+MEMORY_BUDGET_MB = 8.0
 
-def scaling_specs(n: int = 48, n_workloads: int = 8) -> list[WorkloadSpec]:
+
+def scaling_specs(
+    n: int = 48, n_workloads: int = 8, seed: int = 10
+) -> list[WorkloadSpec]:
     """A grid of small, cheap-to-build workload specs.
 
     Alternates random and band recipes so the queue's digest sharding
     spreads chunks across shards rather than clustering one kind.
+    Workload ``i`` is generated with ``seed + i``.
     """
     specs: list[WorkloadSpec] = []
     for index in range(n_workloads):
         if index % 2 == 0:
             density = 0.02 + 0.02 * (index // 2)
             specs.append(
-                WorkloadSpec.random(n, density, seed=10 + index)
+                WorkloadSpec.random(n, density, seed=seed + index)
             )
         else:
             width = 4 << (index // 2)
-            specs.append(WorkloadSpec.band(n, width, seed=10 + index))
+            specs.append(
+                WorkloadSpec.band(n, width, seed=seed + index)
+            )
     return specs
 
 
@@ -84,6 +91,7 @@ def bench_queue_scaling(
     formats: Sequence[str] = PAPER_FORMATS,
     partitions: Sequence[int] = (8,),
     lease_timeout_s: float = 30.0,
+    seed: int = 10,
 ) -> dict:
     """Sweep one grid through the queue backend at each worker count.
 
@@ -96,7 +104,7 @@ def bench_queue_scaling(
         raise SimulationError(
             f"cell_cost_s must be > 0, got {cell_cost_s}"
         )
-    specs = scaling_specs(n, n_workloads)
+    specs = scaling_specs(n, n_workloads, seed)
     faults = f"delay@every:1#delay={cell_cost_s}#times=none"
     n_cells = len(specs) * len(formats) * len(partitions)
     rows: list[dict] = []
@@ -229,7 +237,7 @@ def bench_streaming_rss(
     n: int = 20000,
     width: int = 101,
     p: int = 64,
-    memory_budget_mb: float = 8.0,
+    memory_budget_mb: float = MEMORY_BUDGET_MB,
 ) -> dict:
     """Peak-RSS comparison of materializing vs streaming profiling."""
     with tempfile.TemporaryDirectory(prefix="bench-rss-") as tmp:
@@ -264,41 +272,62 @@ def bench_streaming_rss(
     }
 
 
-def bench_distributed(quick: bool = False) -> dict:
-    """Run both sections and assemble the ``bench_distributed/v1`` report.
+def usable_worker_counts(
+    worker_counts: Sequence[int],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split ``worker_counts`` into (kept, dropped) by ``os.cpu_count()``.
 
-    ``quick`` shrinks the grid and the out-of-core matrix for CI
-    smoke runs; quick reports are not expected to clear the scaling
-    gate (process startup dominates sub-second sweeps).
+    A worker count above the machine's CPUs cannot show real parallel
+    scaling, so the suite never runs (or reports) one.
     """
-    if quick:
-        scaling = bench_queue_scaling(
-            worker_counts=(1, 2),
-            cell_cost_s=0.05,
-            n_workloads=4,
-            formats=("csr", "coo"),
+    cap = os.cpu_count() or 1
+    kept = tuple(w for w in worker_counts if w <= cap)
+    dropped = tuple(w for w in worker_counts if w > cap)
+    return kept, dropped
+
+
+def distributed_sections(
+    seed: int,
+    workers: Sequence[int],
+    cell_cost_s: float,
+    n_workloads: int,
+    formats: Sequence[str],
+    rss_n: int,
+    rss_width: int,
+) -> dict:
+    """Run both sections of the distributed suite.
+
+    Worker counts above ``os.cpu_count()`` are dropped before anything
+    runs; the report's ``config`` records the cap and what it dropped.
+    """
+    kept, dropped = usable_worker_counts(workers)
+    if not kept:
+        raise SimulationError(
+            f"no worker count in {list(workers)} fits this machine's "
+            f"{os.cpu_count() or 1} CPU(s)"
         )
-        streaming = bench_streaming_rss(n=4000, width=21)
-    else:
-        scaling = bench_queue_scaling()
-        streaming = bench_streaming_rss()
+    scaling = bench_queue_scaling(
+        worker_counts=kept,
+        cell_cost_s=cell_cost_s,
+        n_workloads=n_workloads,
+        formats=tuple(formats),
+        seed=seed,
+    )
+    streaming = bench_streaming_rss(n=rss_n, width=rss_width)
     by_workers = {row["workers"]: row for row in scaling["rows"]}
     speedup_2 = (
         by_workers[2]["speedup_vs_1"] if 2 in by_workers else None
     )
-    max_workers = max(by_workers)
     return {
-        "schema": BENCH_DISTRIBUTED_SCHEMA,
-        "machine": machine_metadata(),
         "config": {
-            "quick": quick,
-            "scaling_gate_2_workers": SCALING_GATE_2_WORKERS,
+            "cpu_cap": os.cpu_count() or 1,
+            "workers_dropped": list(dropped),
         },
         "scaling": scaling,
         "streaming": streaming,
         "summary": {
             "speedup_2_workers": speedup_2,
-            "speedup_max_workers": by_workers[max_workers][
+            "speedup_max_workers": by_workers[max(by_workers)][
                 "speedup_vs_1"
             ],
             "digests_identical": scaling["digests_identical"],
@@ -307,36 +336,78 @@ def bench_distributed(quick: bool = False) -> dict:
     }
 
 
-def check_distributed_report(report: dict) -> list[str]:
-    """Gate failures for a full (non-quick) report; empty = pass."""
-    problems: list[str] = []
-    summary = report["summary"]
-    if not summary["digests_identical"]:
-        problems.append(
-            "checkpoint digests differ across worker counts"
-        )
-    speedup_2 = summary["speedup_2_workers"]
-    if speedup_2 is not None and speedup_2 < SCALING_GATE_2_WORKERS:
-        problems.append(
-            f"2-worker speedup {speedup_2:.2f}x is below the "
-            f"{SCALING_GATE_2_WORKERS}x gate"
-        )
+def _describe(report: dict) -> list[str]:
+    scaling = report["scaling"]
+    rows = [
+        [
+            row["workers"],
+            row["wall_s"],
+            row["cells_per_s"],
+            row["speedup_vs_1"],
+            row["checkpoint_digest"][:12],
+        ]
+        for row in scaling["rows"]
+    ]
     streaming = report["streaming"]
-    if streaming["triplet_mb"] <= streaming["memory_budget_mb"]:
-        problems.append(
-            "out-of-core matrix does not exceed the memory budget"
+    lines = [
+        format_table(
+            ["workers", "wall s", "cells/s", "speedup", "digest"],
+            rows,
+            title=(
+                f"Queue scaling, {scaling['n_cells']} cells, "
+                f"{scaling['cell_cost_s']:g}s service floor"
+            ),
+        ),
+        "",
+        f"out-of-core: {streaming['triplet_mb']:.1f} MB of triplets "
+        f"profiled under a {streaming['memory_budget_mb']:g} MB "
+        f"budget, peak RSS reduced "
+        f"{report['summary']['rss_reduction']:.1f}x",
+    ]
+    dropped = report["config"]["workers_dropped"]
+    if dropped:
+        lines.append(
+            f"worker counts {dropped} dropped: above this machine's "
+            f"{report['config']['cpu_cap']} CPU(s)"
         )
-    if summary["rss_reduction"] <= 1.0:
-        problems.append(
-            "streaming path did not reduce peak RSS"
-        )
-    return problems
+    return lines
 
 
-def write_distributed_report(report: dict, path: str | Path) -> Path:
-    """Write the report as indented, sorted JSON (diff-friendly)."""
-    return io_atomic.atomic_write_text(
-        Path(path),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="ascii",
-    )
+_GATES = (
+    Gate("digests_identical", "summary.digests_identical", "==", True),
+    Gate("rss_reduced", "summary.rss_reduction", ">", 1.0),
+    Gate(
+        "speedup_2_workers", "summary.speedup_2_workers", ">=",
+        SCALING_GATE_2_WORKERS,
+    ),
+    Gate("out_of_core", "streaming.triplet_mb", ">", MEMORY_BUDGET_MB),
+)
+
+#: ``repro bench distributed``.  Quick runs keep only the digest gate:
+#: they are too short for the scaling gate (process startup
+#: dominates), and their matrix fits the streaming budget by design,
+#: so its peak-RSS comparison shows nothing.
+SUITE = Suite(
+    name="distributed",
+    help="measure queue-backend scaling and out-of-core peak RSS",
+    seed=10,
+    output="BENCH_distributed.json",
+    params=(
+        Param("workers", (1, 2, 4), "queue worker counts",
+              quick=(1, 2), option=None),
+        Param("cell_cost_s", 0.25, "per-cell service floor",
+              quick=0.05, option=None),
+        Param("n_workloads", 8, "workloads in the scaling grid",
+              quick=4, option=None),
+        Param("formats", tuple(PAPER_FORMATS), "scaling-grid formats",
+              quick=("csr", "coo"), option=None),
+        Param("rss_n", 20000, "out-of-core band matrix dimension",
+              quick=4000, option=None),
+        Param("rss_width", 101, "out-of-core band width",
+              quick=21, option=None),
+    ),
+    body=distributed_sections,
+    gates=_GATES,
+    quick_gates=_GATES[:1],
+    describe=_describe,
+)

@@ -1,6 +1,6 @@
 """Chaos campaign runner: seeded crash/recovery schedules, hard-gated.
 
-``repro chaos`` turns the durability clauses of the deterministic
+``repro bench chaos`` turns the durability clauses of the deterministic
 fault grammar (:mod:`repro.engine.faults`) into a verdict.  One
 campaign runs N seeded *schedules*; each schedule injects a randomly
 drawn fault plan into a real target and then checks hard invariants
@@ -22,42 +22,41 @@ on what recovery produced:
 
 Every schedule's plan is drawn from ``random.Random(seed)``, so a
 campaign is exactly reproducible: same ``(seed, n_schedules)``, same
-faults at the same operation counts, same verdict.  A schedule that
-violates any invariant lands in the report and
-:func:`check_campaign` raises :class:`~repro.errors.ChaosError`
-(CLI exit 2) — chaos findings are test failures, not log lines.
+faults at the same operation counts, same verdict.  Recorded crash
+messages name files relative to the campaign's work directory, with
+process ids masked, so they do not differ between reruns by a pid or
+a temporary path.
+A schedule that violates any invariant lands in the report, and the
+suite's zero-violations gate fails the run (CLI exit 2): chaos
+findings are test failures, not log lines.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
 from random import Random
 
-from . import io_atomic
 from .doctor import diagnose_queue
 from .engine import WorkloadSpec, checkpoint_digest
 from .engine.faults import FaultPlan, FaultSpec
 from .engine.distributed import QueueOptions
 from .engine.retry import RetryPolicy
 from .engine.runner import SweepRunner
-from .errors import ChaosCrash, ChaosError, CopernicusError
-from .observability import METRICS_SCHEMA, machine_metadata
+from .envelope import Gate, Param, Suite
+from .errors import ChaosError, CopernicusError
+from .observability import METRICS_SCHEMA
 
 __all__ = [
-    "BENCH_CHAOS_SCHEMA",
+    "SUITE",
     "campaign_grid",
     "random_plan",
     "run_chaos_campaign",
-    "check_campaign",
-    "write_chaos_report",
 ]
-
-#: Version tag of the chaos report; bump on incompatible change.
-BENCH_CHAOS_SCHEMA = "bench_chaos/v1"
 
 #: The small sweep grid every queue schedule runs (8 cells: fast
 #: enough to crash and recover twenty times in one CI job, wide
@@ -146,6 +145,17 @@ def _reference_digest(workdir: Path) -> tuple[str, int]:
     return checkpoint_digest(checkpoint), len(outcome.results)
 
 
+#: Process-id suffixes of coordinator and worker shard names.
+_PID = re.compile(r"\b(coordinator|w\d+)-\d+\b")
+
+
+def _stable_message(error: BaseException, workdir: Path) -> str:
+    """``Type: message`` with the workdir prefix and pids masked."""
+    text = f"{type(error).__name__}: {error}"
+    text = text.replace(str(workdir), "<workdir>")
+    return _PID.sub(r"\1-<pid>", text)
+
+
 def _run_queue_schedule(
     index: int,
     rng: Random,
@@ -177,14 +187,12 @@ def _run_queue_schedule(
     )
     try:
         runner.run_grid(campaign_grid(), _FORMATS, _PARTITIONS)
-    except ChaosCrash as error:
-        crashed = f"ChaosCrash: {error}"
     except (CopernicusError, OSError) as error:
-        # an injected fault surfacing as ENOSPC / torn state mid-run
-        # is still a crash the campaign must recover from; whether
-        # the recovery is *correct* is decided by the gates below,
-        # not by which exception carried the crash
-        crashed = f"{type(error).__name__}: {error}"
+        # an injected ChaosCrash, or a fault surfacing as ENOSPC or
+        # torn state mid-run, is a crash the campaign must recover
+        # from; whether the recovery is *correct* is decided by the
+        # gates below, not by which exception carried the crash
+        crashed = _stable_message(error, workdir)
 
     violations: list[str] = []
 
@@ -358,12 +366,11 @@ def run_chaos_campaign(
     workers: int = 2,
     workdir: "str | Path | None" = None,
 ) -> dict:
-    """Run a full campaign and return the ``bench_chaos/v1`` report.
+    """Run a full campaign and return its report sections.
 
     Deterministic per ``(seed, n_schedules)``: schedule ``i`` draws
-    its fault plan from ``Random(seed * 10007 + i)``.  The report
-    records every schedule's verdict; use :func:`check_campaign` to
-    turn violations into a :class:`~repro.errors.ChaosError`.
+    its fault plan from ``Random(seed * 10007 + i)``.  The sections
+    record every schedule's verdict; :data:`SUITE` gates them.
     """
     if n_schedules < 1:
         raise ChaosError(
@@ -398,15 +405,7 @@ def run_chaos_campaign(
             len(record["violations"]) for record in schedules
         )
         return {
-            "schema": BENCH_CHAOS_SCHEMA,
-            "machine": machine_metadata(),
-            "config": {
-                "seed": seed,
-                "n_schedules": n_schedules,
-                "workers": workers,
-                "n_cells": n_cells,
-                "serve_every": _SERVE_EVERY,
-            },
+            "config": {"n_cells": n_cells, "serve_every": _SERVE_EVERY},
             "reference": {"digest": reference, "n_cells": n_cells},
             "schedules": schedules,
             "summary": {
@@ -440,28 +439,56 @@ def run_chaos_campaign(
         return _campaign(Path(tmp))
 
 
-def check_campaign(report: dict) -> None:
-    """Raise :class:`ChaosError` if any schedule violated a gate."""
-    broken = [
-        record
-        for record in report["schedules"]
-        if record["violations"]
+def _describe(report: dict) -> list[str]:
+    summary = report["summary"]
+    recoveries = ", ".join(
+        f"{kind}={count}"
+        for kind, count in summary["recoveries_by_fault_kind"].items()
+    )
+    lines = [
+        f"chaos campaign: seed={report['config']['seed']} "
+        f"schedules={summary['n_schedules']} "
+        f"({summary['n_queue']} queue, {summary['n_serve']} serve) "
+        f"in {summary['wall_s']:.1f}s",
+        f"reference digest: {report['reference']['digest'][:16]} "
+        f"({report['reference']['n_cells']} cells)",
+        f"crashed: {summary['n_crashed']}, recovered clean: "
+        f"{summary['n_recovered']}, invariant violations: "
+        f"{summary['n_violations']}",
+        f"recoveries by fault kind: {recoveries or 'none'}",
     ]
-    if not broken:
-        return
-    details = "; ".join(
+    lines.extend(
         f"schedule {record['index']} ({record['plan']}): "
         + ", ".join(record["violations"])
-        for record in broken
+        for record in report["schedules"]
+        if record["violations"]
     )
-    raise ChaosError(
-        f"{report['summary']['n_violations']} invariant "
-        f"violation(s) across {len(broken)} schedule(s): {details}"
-    )
+    return lines
 
 
-def write_chaos_report(report: dict, path: "str | Path") -> Path:
-    """Atomically persist one campaign report."""
-    target = Path(path)
-    io_atomic.atomic_write_json(target, report)
-    return target
+#: ``repro bench chaos``.  ``digest-mismatch``, ``lost-cells`` and
+#: ``resume-failed`` are violations, so the first gate covers recovery.
+SUITE = Suite(
+    name="chaos",
+    help="run seeded crash/recovery schedules and gate on "
+    "recovery invariants",
+    seed=7,
+    output="BENCH_chaos.json",
+    params=(
+        Param("n_schedules", 20, "crash/recovery schedules to run",
+              quick=3, option="--schedules"),
+        Param("workers", 2, "queue worker processes per schedule"),
+        Param(
+            "workdir", None,
+            "keep schedule artifacts (queues, checkpoints, snapshots) "
+            "under this directory instead of a private temporary one",
+            type=str,
+        ),
+    ),
+    body=run_chaos_campaign,
+    gates=(
+        Gate("zero_violations", "summary.n_violations", "==", 0),
+        Gate("zero_uncaught", "summary.uncaught_failures", "==", 0),
+    ),
+    describe=_describe,
+)

@@ -23,14 +23,15 @@ Everything the library computes is reachable from the shell::
     python -m repro checkpoint ckpt.jsonl
     python -m repro checkpoint ckpt.jsonl --digest
     python -m repro checkpoint ckpt.jsonl --compact --out tidy.jsonl
-    python -m repro bench-distributed --quick
+    python -m repro bench pipeline --quick
+    python -m repro bench distributed --quick
     python -m repro stats run.jsonl
     python -m repro stats run.jsonl --against baseline.jsonl
     python -m repro integrity --random 64 --density 0.08 --injections 50
     python -m repro advise --standin KR
     python -m repro advisor train --out advisor_model.json
     python -m repro advisor train --from-manifest run.jsonl
-    python -m repro advisor bench --model advisor_model.json
+    python -m repro bench advisor --model advisor_model.json
     python -m repro advise --random 512 --density 0.02 --fast \
         --model advisor_model.json
     python -m repro serve --port 8787 --budget-s 5
@@ -39,11 +40,11 @@ Everything the library computes is reachable from the shell::
     python -m repro serve --port 8787 --shed-p99-ms 250
     python -m repro loadgen --port 8787 --mix hot --requests 200
     python -m repro loadgen --spawn --requests 200 --seed 7
-    python -m repro loadgen --spawn --mix hostile --require-containment
+    python -m repro loadgen --spawn --mix hostile
     python -m repro fuzz --cases 400 --save-crashes
     python -m repro fuzz --replay
-    python -m repro guard --quick --output BENCH_guard.json
-    python -m repro chaos --seed 7 --schedules 20
+    python -m repro bench guard --quick --output BENCH_guard.json
+    python -m repro bench chaos --seed 7 --schedules 20
     python -m repro doctor q --checkpoint ckpt.jsonl --repair
     python -m repro doctor q --check
 
@@ -77,7 +78,7 @@ from .core import (
     summarize,
 )
 from .engine import SweepRunner
-from .errors import CopernicusError, SimulationError, SweepCellError
+from .errors import CopernicusError, SweepCellError
 from .formats import ALL_FORMATS, CORRUPTION_KINDS, PAPER_FORMATS, get_format
 from .hardware import (
     DEFAULT_CONFIG,
@@ -524,106 +525,41 @@ def _cmd_pareto(args: argparse.Namespace) -> str:
     )
 
 
+def _bench_suites() -> tuple:
+    """The ``repro bench`` suites, each declared as data."""
+    from .advisor.bench import SUITE as advisor
+    from .bench import SUITE as pipeline
+    from .bench_distributed import SUITE as distributed
+    from .chaos import SUITE as chaos
+    from .guard.campaign import SUITE as guard
+
+    return (pipeline, distributed, advisor, guard, chaos)
+
+
+def _report_and_gate(report: dict, output: str, lines: list[str]) -> str:
+    """Write the report, print its gates, then fail on a failed gate."""
+    from .envelope import check_gates, gate_lines, write_bench
+
+    path = write_bench(report, output)
+    print(
+        "\n".join([*lines, *gate_lines(report),
+                   f"report written to {path}"]),
+        flush=True,
+    )
+    # raises BenchGateError (exit 2) only now the report is on disk
+    check_gates(report)
+    return f"all {len(report['gates'])} gate(s) passed"
+
+
 def _cmd_bench(args: argparse.Namespace) -> str:
-    from .bench import bench_pipeline, bench_report, write_report
-
-    n = 1024 if args.quick else args.n
-    formats = (
-        tuple(args.format) if args.format else PAPER_FORMATS
-    )
-    results = bench_pipeline(
-        n=n,
-        p=args.partition,
-        density=args.density,
-        band_width=args.band_width,
-        formats=formats,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    report = bench_report(
-        results,
-        n=n,
-        p=args.partition,
-        density=args.density,
-        band_width=args.band_width,
-        repeats=args.repeats,
-    )
-    path = write_report(report, args.output)
-    rows = [
-        [
-            r.workload,
-            r.format_name,
-            r.n_tiles,
-            r.scalar_s * 1e3,
-            r.batch_s * 1e3,
-            r.speedup,
-            r.batch_cells_per_s / 1e6,
-        ]
-        for r in results
-    ]
-    summary = report["summary"]
-    table = format_table(
-        ["workload", "format", "tiles", "scalar ms", "batch ms",
-         "speedup", "Mcells/s"],
-        rows,
-        title=f"Pipeline batch vs scalar, {n}x{n}, p={args.partition}",
-    )
-    return table + (
-        f"\n\nspeedup: min {summary['min_speedup']:.1f}x, "
-        f"geomean {summary['geomean_speedup']:.1f}x, "
-        f"max {summary['max_speedup']:.1f}x"
-        f"\nreport written to {path}"
-    )
-
-
-def _cmd_bench_distributed(args: argparse.Namespace) -> str:
-    from .bench_distributed import (
-        bench_distributed,
-        check_distributed_report,
-        write_distributed_report,
-    )
-
-    report = bench_distributed(quick=args.quick)
-    path = write_distributed_report(report, args.output)
-    scaling = report["scaling"]
-    rows = [
-        [
-            row["workers"],
-            row["wall_s"],
-            row["cells_per_s"],
-            row["speedup_vs_1"],
-            row["checkpoint_digest"][:12],
-        ]
-        for row in scaling["rows"]
-    ]
-    table = format_table(
-        ["workers", "wall s", "cells/s", "speedup", "digest"],
-        rows,
-        title=(
-            f"Queue scaling, {scaling['n_cells']} cells, "
-            f"{scaling['cell_cost_s']:g}s service floor"
-        ),
-    )
-    streaming = report["streaming"]
-    summary = report["summary"]
-    lines = [
-        table,
-        "",
-        f"out-of-core: {streaming['triplet_mb']:.1f} MB of triplets "
-        f"profiled under a {streaming['memory_budget_mb']:g} MB "
-        f"budget, peak RSS reduced "
-        f"{summary['rss_reduction']:.1f}x",
-        f"report written to {path}",
-    ]
-    if args.check and not args.quick:
-        problems = check_distributed_report(report)
-        if problems:
-            raise SimulationError(
-                "distributed benchmark gate failed: "
-                + "; ".join(problems)
-            )
-        lines.append("gates passed")
-    return "\n".join(lines)
+    suite = args.bench_suite
+    given = {
+        param.name: getattr(args, param.name)
+        for param in suite.params
+        if param.flag
+    }
+    report = suite.run(seed=args.seed, quick=args.quick, **given)
+    return _report_and_gate(report, args.output, suite.describe(report))
 
 
 def _cmd_advise(args: argparse.Namespace) -> str:
@@ -788,92 +724,6 @@ def _cmd_advisor_train(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_advisor_bench(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
-    from .advisor import (
-        bench_advisor,
-        default_latency_specs,
-        load_model,
-        split_holdout,
-        workload_zoo,
-        write_advisor_report,
-    )
-    from .errors import AdvisorError, AdvisorModelError
-
-    if not Path(args.model).is_file():
-        raise AdvisorModelError(
-            f"--model not found: {args.model} (train one with "
-            "`repro advisor train --out PATH`)"
-        )
-    model = load_model(args.model)
-    meta = model.training
-    zoo = workload_zoo(int(meta.get("zoo_seed", 0)))
-    _, heldout = split_holdout(
-        zoo,
-        float(meta.get("holdout_fraction", 0.25)),
-        int(meta.get("split_seed", 0)),
-    )
-    report = bench_advisor(
-        model,
-        heldout,
-        repeats=args.repeats,
-        latency_specs=default_latency_specs(args.latency_n),
-    )
-    path = write_advisor_report(report, args.output)
-    accuracy = report["accuracy"]
-    latency = report["latency"]
-    lines = [
-        f"held-out accuracy over {report['config']['n_heldout']} "
-        f"workloads x {report['config']['n_cells']} design points:",
-        f"  spearman: mean {accuracy['spearman_mean']:.4f}, "
-        f"min {accuracy['spearman_min']:.4f}",
-        f"  agreement: top-1 {accuracy['top1_agreement']:.3f}, "
-        f"top-3 {accuracy['top3_agreement']:.3f}",
-        "advise latency (exact vs fast path):",
-    ]
-    for row in latency["per_workload"]:
-        lines.append(
-            f"  {row['workload']}: {row['exact_ms']:.1f} ms -> "
-            f"{row['fast_ms']:.2f} ms ({row['speedup']:.0f}x)"
-        )
-    lines.append(
-        f"  speedup: geomean {latency['speedup_geomean']:.0f}x, "
-        f"min {latency['speedup_min']:.0f}x"
-    )
-    lines.append(f"report written to {path}")
-    failures = []
-    if (
-        args.require_spearman is not None
-        and accuracy["spearman_mean"] < args.require_spearman
-    ):
-        failures.append(
-            f"spearman_mean {accuracy['spearman_mean']:.4f} < "
-            f"required {args.require_spearman}"
-        )
-    if (
-        args.require_top3 is not None
-        and accuracy["top3_agreement"] < args.require_top3
-    ):
-        failures.append(
-            f"top3_agreement {accuracy['top3_agreement']:.3f} < "
-            f"required {args.require_top3}"
-        )
-    if (
-        args.require_speedup is not None
-        and latency["speedup_min"] < args.require_speedup
-    ):
-        failures.append(
-            f"speedup_min {latency['speedup_min']:.1f}x < "
-            f"required {args.require_speedup}x"
-        )
-    if failures:
-        raise AdvisorError(
-            "accuracy contract not met: " + "; ".join(failures)
-        )
-    return "\n".join(lines)
-
-
 def _cmd_serve(args: argparse.Namespace) -> str:
     import asyncio
     from pathlib import Path
@@ -981,9 +831,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
 def _cmd_loadgen(args: argparse.Namespace) -> str:
     import asyncio
-    from pathlib import Path
 
-    from . import io_atomic
     from .errors import LoadGenError
     from .serve import CharacterizationServer
     from .serve.loadgen import run_loadgen
@@ -1027,24 +875,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
             max_attempts=args.retry_attempts + 1
         )
     report = asyncio.run(_run())
-    path = Path(args.output)
-    io_atomic.atomic_write_json(path, report)
-    if args.require_zero_5xx and report["n_5xx"]:
-        raise LoadGenError(
-            f"{report['n_5xx']} of {report['requests']} responses "
-            f"were 5xx (statuses: {report['statuses']})"
-        )
-    server_stats = report["server"]
-    if args.require_coalesce and server_stats["coalesce_hits"] == 0:
-        raise LoadGenError(
-            "no request coalesced onto an in-flight computation; "
-            "expected coalesce hits under this mix "
-            f"({report['mix']}, concurrency {report['concurrency']})"
-        )
     latency = report["latency_ms"]
+    server_stats = report["server"]
+    config = report["config"]
     lines = [
-        f"mix={report['mix']} requests={report['requests']} "
-        f"seed={report['seed']} concurrency={report['concurrency']}",
+        f"mix={config['mix']} requests={report['requests']} "
+        f"seed={config['seed']} concurrency={config['concurrency']}",
         f"throughput: {report['throughput_rps']:.1f} req/s "
         f"over {report['wall_s']:.2f}s",
         "latency ms: "
@@ -1062,24 +898,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
         f"cache {server_stats['cache_hits']} hits "
         f"({server_stats['cache_hit_rate']:.0%}), "
         f"{server_stats['computations']} backend computations",
-        f"report written to {path}",
     ]
     hostile = report["hostile"]
     if hostile["requests"]:
-        lines.insert(
-            -1,
+        lines.append(
             f"hostile: {hostile['requests']} requests, "
             f"{hostile['contained']} contained, "
             f"{hostile['served_2xx']} served 2xx, "
-            f"worker harm: {hostile['worker_harm']}",
+            f"worker harm: {hostile['worker_harm']}"
         )
-    if args.require_containment and hostile["worker_harm"]:
-        raise LoadGenError(
-            f"{hostile['worker_harm']} of {hostile['requests']} "
-            "hostile requests harmed a worker (connection drop or "
-            f"unhandled 5xx; statuses: {hostile['statuses']})"
-        )
-    return "\n".join(lines)
+    return _report_and_gate(report, args.output, lines)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> str:
@@ -1088,7 +916,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
     from . import io_atomic
     from .errors import FuzzError
     from .guard import (
-        DEFAULT_CORPUS_DIR,
         Sandbox,
         SandboxLimits,
         fuzz_run,
@@ -1144,124 +971,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
         )
         lines.append(f"report written to {args.output}")
     if report.crashes:
-        signatures = ", ".join(report.crash_signatures)
-        if args.no_gate:
-            lines.append(
-                f"CRASHES: {len(report.crashes)} ({signatures})"
+        print("\n".join(lines), flush=True)
+        raise FuzzError(
+            f"{len(report.crashes)} of {report.tried} inputs crashed "
+            f"the pipeline ({', '.join(report.crash_signatures)})"
+            + (
+                f"; minimized cases saved to {corpus_dir}"
+                if saved
+                else "; rerun with --save-crashes to record them"
             )
-        else:
-            raise FuzzError(
-                f"{len(report.crashes)} of {report.tried} inputs "
-                f"crashed the pipeline ({signatures})"
-                + (
-                    f"; minimized cases saved to {corpus_dir}"
-                    if saved
-                    else "; rerun with --save-crashes to record them"
-                )
-            )
-    else:
-        lines.append("no crashes: every input came back as a typed verdict")
-    return "\n".join(lines)
-
-
-def _cmd_guard(args: argparse.Namespace) -> str:
-    from .guard import (
-        check_guard_campaign,
-        run_guard_campaign,
-        write_guard_report,
-    )
-
-    fuzz_cases = args.fuzz_cases
-    hostile_requests = args.hostile_requests
-    if args.quick:
-        fuzz_cases = min(fuzz_cases, 120)
-        hostile_requests = min(hostile_requests, 16)
-    report = run_guard_campaign(
-        seed=args.seed,
-        corpus_dir=args.corpus,
-        fuzz_cases=fuzz_cases,
-        fuzz_budget_s=args.fuzz_budget_s,
-        hostile_requests=hostile_requests,
-        concurrency=args.concurrency,
-    )
-    path = write_guard_report(report, args.output)
-    summary = report["summary"]
-    breaker = report["breaker"]
-    shedding = report["shedding"]
-    hostile = report["hostile"]["hostile"]
-    lines = [
-        f"guard campaign: seed={report['config']['seed']} "
-        f"{summary['inputs_executed']} hostile inputs "
-        f"in {summary['wall_s']:.1f}s",
-        f"corpus: {report['corpus']['n_cases']} cases, "
-        f"crashes: {len(report['corpus']['crash_signatures'])}, "
-        f"unhandled: {len(report['corpus']['unhandled_exceptions'])}",
-        f"fuzz: {report['fuzz']['inputs_tried']} inputs, "
-        f"new crash signatures: "
-        f"{len(report['fuzz']['new_crash_signatures'])}",
-        f"breaker: opened={breaker['opened']} "
-        f"recovered={breaker['recovered']} "
-        f"transitions={breaker['transitions']}",
-        f"shedding: high p99 {shedding['high_p99_ms']:.1f}ms all "
-        f"served={shedding['high_all_served']}, low shed with "
-        f"Retry-After={shedding['low_all_shed']}",
-        f"hostile serve traffic: {hostile['requests']} requests, "
-        f"{hostile['contained']} contained, worker harm: "
-        f"{hostile['worker_harm']}",
-        f"report written to {path}",
-    ]
-    failed = sorted(
-        name
-        for name, passed in summary["gates"].items()
-        if not passed
-    )
-    if failed:
-        lines.append(f"FAILED gates: {', '.join(failed)}")
-    else:
-        lines.append("all gates passed")
-    if not args.no_gate:
-        # raises GuardError (exit 2) after the report is on disk
-        check_guard_campaign(report)
-    return "\n".join(lines)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> str:
-    from .chaos import (
-        check_campaign,
-        run_chaos_campaign,
-        write_chaos_report,
-    )
-
-    report = run_chaos_campaign(
-        seed=args.seed,
-        n_schedules=args.schedules,
-        workers=args.workers,
-        workdir=args.workdir,
-    )
-    path = write_chaos_report(report, args.output)
-    summary = report["summary"]
-    recoveries = ", ".join(
-        f"{kind}={count}"
-        for kind, count in summary["recoveries_by_fault_kind"].items()
-    )
-    lines = [
-        f"chaos campaign: seed={report['config']['seed']} "
-        f"schedules={summary['n_schedules']} "
-        f"({summary['n_queue']} queue, {summary['n_serve']} serve) "
-        f"in {summary['wall_s']:.1f}s",
-        f"reference digest: {report['reference']['digest'][:16]} "
-        f"({report['reference']['n_cells']} cells)",
-        f"crashed: {summary['n_crashed']}, recovered clean: "
-        f"{summary['n_recovered']}, invariant violations: "
-        f"{summary['n_violations']}",
-        f"recoveries by fault kind: {recoveries or 'none'}",
-        f"report written to {path}",
-    ]
-    if not args.no_gate:
-        # raises ChaosError (exit 2) when any schedule violated an
-        # invariant — after the report is on disk for the post-mortem
-        check_campaign(report)
-        lines.append("gates passed")
+        )
+    lines.append("no crashes: every input came back as a typed verdict")
     return "\n".join(lines)
 
 
@@ -1594,7 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     advisor = commands.add_parser(
         "advisor",
-        help="train / benchmark the learned fast-path advisor",
+        help="train the learned fast-path advisor",
     )
     advisor_commands = advisor.add_subparsers(
         dest="advisor_command", required=True
@@ -1657,41 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(feed it back with --from-manifest to reproduce the model)",
     )
     advisor_train.set_defaults(handler=_cmd_advisor_train)
-    advisor_bench = advisor_commands.add_parser(
-        "bench",
-        help="measure the accuracy contract (bench_advisor/v1)",
-    )
-    advisor_bench.add_argument(
-        "--model", metavar="PATH", required=True,
-        help="advisor_model/v1 artifact to benchmark",
-    )
-    advisor_bench.add_argument(
-        "--output", metavar="PATH", default="BENCH_advisor.json",
-        help="report path (default BENCH_advisor.json)",
-    )
-    advisor_bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="latency timing repeats, best-of reported (default 3)",
-    )
-    advisor_bench.add_argument(
-        "--latency-n", type=int, default=2048,
-        help="matrix dimension of the exact-vs-fast latency contest "
-        "(default 2048)",
-    )
-    advisor_bench.add_argument(
-        "--require-spearman", type=float, default=None, metavar="X",
-        help="exit non-zero if held-out mean Spearman < X (CI gate)",
-    )
-    advisor_bench.add_argument(
-        "--require-top3", type=float, default=None, metavar="X",
-        help="exit non-zero if held-out top-3 agreement < X (CI gate)",
-    )
-    advisor_bench.add_argument(
-        "--require-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero if the minimum fast-path speedup < Xx "
-        "(CI gate)",
-    )
-    advisor_bench.set_defaults(handler=_cmd_advisor_bench)
 
     serve = commands.add_parser(
         "serve",
@@ -1832,28 +1517,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--output", metavar="PATH", default="BENCH_serve.json",
-        help="bench_serve/v1 report path (default BENCH_serve.json)",
+        help="bench/v2 report path, gated by the mix "
+        "(default BENCH_serve.json)",
     )
     loadgen.add_argument(
         "--retry-attempts", type=int, default=3, metavar="N",
         help="retry a 429 up to N times with jittered exponential "
         "backoff, honoring the server's Retry-After as the delay "
         "floor (0 disables; default 3)",
-    )
-    loadgen.add_argument(
-        "--require-zero-5xx", action="store_true",
-        help="exit non-zero if any response was a 5xx (CI gate)",
-    )
-    loadgen.add_argument(
-        "--require-coalesce", action="store_true",
-        help="exit non-zero if no request coalesced onto an "
-        "in-flight computation (CI gate)",
-    )
-    loadgen.add_argument(
-        "--require-containment", action="store_true",
-        help="exit non-zero if any hostile request harmed a worker "
-        "(connection drop or unhandled 5xx) instead of being "
-        "contained as a typed refusal (CI gate for --mix hostile)",
     )
     loadgen.set_defaults(handler=_cmd_loadgen)
 
@@ -1900,157 +1571,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", metavar="PATH", default=None,
         help="also write the full fuzz report as JSON to PATH",
     )
-    fuzz.add_argument(
-        "--no-gate", action="store_true",
-        help="report crashes without exiting non-zero "
-        "(triage aid)",
-    )
     fuzz.set_defaults(handler=_cmd_fuzz)
-
-    guard = commands.add_parser(
-        "guard",
-        help="run the untrusted-input defense campaign and gate on "
-        "containment (bench_guard/v1)",
-    )
-    guard.add_argument(
-        "--seed", type=int, default=7,
-        help="campaign seed (default 7)",
-    )
-    guard.add_argument(
-        "--fuzz-cases", type=int, default=400, metavar="N",
-        help="fresh fuzz inputs in the fuzzing phase (default 400)",
-    )
-    guard.add_argument(
-        "--fuzz-budget-s", type=float, default=None,
-        metavar="SECONDS",
-        help="wall-clock cap on the fuzzing phase (default: none; "
-        "stops at whichever of cases/budget comes first)",
-    )
-    guard.add_argument(
-        "--hostile-requests", type=int, default=40, metavar="N",
-        help="hostile-mix requests against the live guarded server "
-        "(default 40)",
-    )
-    guard.add_argument(
-        "--concurrency", type=int, default=4,
-        help="client connections of the hostile phase (default 4)",
-    )
-    guard.add_argument(
-        "--corpus", metavar="DIR", default=None,
-        help="regression-corpus directory "
-        "(default: the committed tests/corpus)",
-    )
-    guard.add_argument(
-        "--output", metavar="PATH", default="BENCH_guard.json",
-        help="report path (default BENCH_guard.json)",
-    )
-    guard.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run (120 fuzz cases, 16 hostile requests)",
-    )
-    guard.add_argument(
-        "--no-gate", action="store_true",
-        help="report failed gates without exiting non-zero "
-        "(debugging aid)",
-    )
-    guard.set_defaults(handler=_cmd_guard)
 
     bench = commands.add_parser(
         "bench",
-        help="time the batch pipeline against the scalar reference",
+        help="run a benchmark or campaign suite and gate its bench/v2 "
+        "report (exit 2 when a gate fails)",
     )
-    bench.add_argument(
-        "--n", type=int, default=8000,
-        help="matrix dimension (default 8000, the paper scale)",
-    )
-    bench.add_argument(
-        "-p", "--partition", type=int, default=8,
-        help="partition size (default 8)",
-    )
-    bench.add_argument(
-        "--density", type=float, default=0.01,
-        help="density of the random workload (default 0.01)",
-    )
-    bench.add_argument(
-        "--band-width", type=int, default=64,
-        help="width of the band workload (default 64)",
-    )
-    bench.add_argument(
-        "-f", "--format", action="append", default=None,
-        choices=sorted(ALL_FORMATS),
-        help="format(s) to bench (default: the eight paper formats)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="timing repeats, best-of reported (default 1)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0, help="generator seed (default 0)"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="1024 x 1024 smoke run (CI-sized)",
-    )
-    bench.add_argument(
-        "--output", metavar="PATH", default="BENCH_pipeline.json",
-        help="JSON report path (default BENCH_pipeline.json)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
-
-    bench_distributed = commands.add_parser(
-        "bench-distributed",
-        help="measure queue-backend scaling and out-of-core RSS "
-        "(bench_distributed/v1)",
-    )
-    bench_distributed.add_argument(
-        "--quick", action="store_true",
-        help="shrunken CI smoke run (no scaling gate)",
-    )
-    bench_distributed.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero if a full run misses the scaling or "
-        "out-of-core gates",
-    )
-    bench_distributed.add_argument(
-        "--output", metavar="PATH", default="BENCH_distributed.json",
-        help="JSON report path (default BENCH_distributed.json)",
-    )
-    bench_distributed.set_defaults(handler=_cmd_bench_distributed)
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="run seeded crash/recovery schedules and gate on "
-        "invariants (bench_chaos/v1)",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=7,
-        help="campaign seed; same (seed, schedules) injects the "
-        "identical fault sequence (default 7)",
-    )
-    chaos.add_argument(
-        "--schedules", type=int, default=20,
-        help="crash/recovery schedules to run (default 20)",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=2,
-        help="queue worker processes per schedule (default 2)",
-    )
-    chaos.add_argument(
-        "--output", metavar="PATH", default="BENCH_chaos.json",
-        help="report path (default BENCH_chaos.json)",
-    )
-    chaos.add_argument(
-        "--workdir", metavar="DIR", default=None,
-        help="keep schedule artifacts (queues, checkpoints, "
-        "snapshots) under DIR instead of a private temporary "
-        "directory (post-mortem aid)",
-    )
-    chaos.add_argument(
-        "--no-gate", action="store_true",
-        help="report invariant violations without exiting non-zero "
-        "(debugging aid)",
-    )
-    chaos.set_defaults(handler=_cmd_chaos)
+    suites = bench.add_subparsers(dest="suite", required=True)
+    for suite in _bench_suites():
+        sub = suites.add_parser(suite.name, help=suite.help)
+        sub.add_argument(
+            "--quick", action="store_true",
+            help="CI-sized run; gates that mean nothing at that size "
+            "are left out",
+        )
+        sub.add_argument(
+            "--seed", type=int, default=suite.seed,
+            help=f"suite seed (default {suite.seed})",
+        )
+        sub.add_argument(
+            "--output", metavar="PATH", default=suite.output,
+            help=f"bench/v2 report path (default {suite.output})",
+        )
+        for param in suite.params:
+            if param.flag:
+                sub.add_argument(param.flag, **param.argparse_kwargs())
+        sub.set_defaults(handler=_cmd_bench, bench_suite=suite)
 
     doctor = commands.add_parser(
         "doctor",

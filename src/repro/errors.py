@@ -226,13 +226,10 @@ class QueueError(SimulationError):
 
 
 class ChaosError(SimulationError):
-    """A chaos campaign invariant was violated.
+    """A chaos campaign was misconfigured or an injected crash fired.
 
-    Raised by ``repro chaos`` when a recovered run's checkpoint digest
-    diverges from the sequential reference, cells were lost or
-    duplicated, or ``repro doctor --check`` still finds damage after
-    repair — i.e. when the durability layer actually failed, not when
-    a fault merely fired.
+    Recovery failures are not raised: they are recorded as schedule
+    violations and gated through the ``bench/v2`` envelope.
     """
 
 
@@ -347,7 +344,7 @@ class ServeSandboxError(ServeError):
 
 
 class LoadGenError(ServeError):
-    """The load generator could not complete, or a --require gate failed."""
+    """The load generator could not complete its run."""
 
     status = 500
 
@@ -355,9 +352,9 @@ class LoadGenError(ServeError):
 class GuardError(CopernicusError):
     """The untrusted-input defense layer (``repro.guard``) failed.
 
-    Base class for sandbox/fuzz infrastructure errors and for campaign
-    gate violations — *not* for the hostile inputs themselves, which
-    always come back as typed verdicts, never as exceptions.
+    Base class for sandbox/fuzz infrastructure errors — *not* for the
+    hostile inputs themselves, which always come back as typed
+    verdicts, never as exceptions.
     """
 
 
@@ -373,6 +370,15 @@ class SandboxError(GuardError):
 
 class FuzzError(GuardError):
     """The fuzzing subsystem was misconfigured or a corpus is corrupt."""
+
+
+class BenchGateError(CopernicusError):
+    """A ``bench/v2`` report failed one or more of its gates.
+
+    Raised only after the report is on disk, so the failing run can
+    be inspected; the message names every failed gate with its
+    measured value and bound.
+    """
 
 
 class AdvisorError(CopernicusError):

@@ -17,16 +17,10 @@ Three layers between hostile bytes and a serve worker:
   priority load shedding.
 
 :mod:`repro.guard.campaign` ties them together into the gated
-``bench_guard/v1`` campaign behind ``repro guard``.
+campaign behind ``repro bench guard``.
 """
 
-from .campaign import (
-    BENCH_GUARD_SCHEMA,
-    DEFAULT_CORPUS_DIR,
-    check_guard_campaign,
-    run_guard_campaign,
-    write_guard_report,
-)
+from .campaign import DEFAULT_CORPUS_DIR, run_guard_campaign
 from .fuzz import (
     FUZZ_KINDS,
     CaseOutcome,
@@ -58,11 +52,8 @@ from .sandbox import (
 )
 
 __all__ = [
-    "BENCH_GUARD_SCHEMA",
     "DEFAULT_CORPUS_DIR",
-    "check_guard_campaign",
     "run_guard_campaign",
-    "write_guard_report",
     "SANDBOX_OPS",
     "VERDICT_KINDS",
     "ResourceVerdict",

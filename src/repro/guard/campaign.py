@@ -1,4 +1,4 @@
-"""The gated ``bench_guard/v1`` campaign behind ``repro guard``.
+"""The gated untrusted-input campaign behind ``repro bench guard``.
 
 One command proves the whole defense line end to end, in four phases:
 
@@ -25,9 +25,9 @@ One command proves the whole defense line end to end, in four phases:
    request is contained as a 4xx/503, never a connection drop or an
    unhandled 500.
 
-:func:`run_guard_campaign` returns the report;
-:func:`check_guard_campaign` turns failed gates into a
-:class:`~repro.errors.GuardError` (exit 2 on the CLI).
+:func:`run_guard_campaign` returns the report sections;
+:data:`SUITE` declares the eight gates and wraps the sections in the
+``bench/v2`` envelope.
 """
 
 from __future__ import annotations
@@ -36,27 +36,32 @@ import asyncio
 import time
 from pathlib import Path
 
-from .. import io_atomic
+from ..envelope import Gate, Param, Suite
 from ..errors import GuardError
-from ..observability import machine_metadata
 from .fuzz import FuzzReport, execute_case, fuzz_run, load_corpus
 from .overload import GuardPolicy
 from .sandbox import Sandbox, SandboxLimits
 
 __all__ = [
-    "BENCH_GUARD_SCHEMA",
     "DEFAULT_CORPUS_DIR",
-    "check_guard_campaign",
+    "SUITE",
     "run_guard_campaign",
-    "write_guard_report",
 ]
 
-BENCH_GUARD_SCHEMA = "bench_guard/v1"
+_REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: The committed regression corpus CI replays (repo-relative).
-DEFAULT_CORPUS_DIR = (
-    Path(__file__).resolve().parents[3] / "tests" / "corpus"
-)
+#: The committed regression corpus CI replays.
+DEFAULT_CORPUS_DIR = _REPO_ROOT / "tests" / "corpus"
+
+
+def _display_path(path: Path) -> str:
+    """``path`` relative to the repository when inside it, so reports
+    do not depend on where the checkout lives."""
+    try:
+        return path.resolve().relative_to(_REPO_ROOT).as_posix()
+    except ValueError:
+        return str(path)
+
 
 #: A benign workload the serve phases query.
 _BENIGN = {"kind": "random", "n": 32, "density": 0.1, "seed": 1}
@@ -86,7 +91,7 @@ def _replay_phase(
         report.record(outcome)
     report.wall_s = time.perf_counter() - started
     return {
-        "corpus_dir": str(corpus_dir),
+        "corpus_dir": _display_path(Path(corpus_dir)),
         "n_cases": len(cases),
         "by_verdict": dict(sorted(report.by_verdict.items())),
         "crash_signatures": list(report.crash_signatures),
@@ -353,18 +358,17 @@ async def _hostile_phase(
 def run_guard_campaign(
     seed: int = 7,
     *,
-    corpus_dir: "str | Path | None" = None,
     fuzz_cases: "int | None" = 400,
-    fuzz_budget_s: "float | None" = None,
     hostile_requests: int = 40,
     concurrency: int = 4,
+    corpus_dir: "str | Path | None" = None,
+    fuzz_budget_s: "float | None" = None,
     sandbox_limits: "SandboxLimits | None" = None,
 ) -> dict:
-    """Run all four phases and return the ``bench_guard/v1`` report.
+    """Run all four phases and return the report sections.
 
     Deterministic per ``(seed, fuzz_cases, hostile_requests)`` up to
-    wall-clock fields.  Use :func:`check_guard_campaign` to turn
-    failed gates into a :class:`~repro.errors.GuardError`.
+    wall-clock fields.
     """
     if hostile_requests < 1:
         raise GuardError(
@@ -389,29 +393,10 @@ def run_guard_campaign(
     hostile = asyncio.run(
         _hostile_phase(seed, hostile_requests, concurrency)
     )
-    gates = {
-        "corpus_zero_crashes": not replay["crash_signatures"],
-        "corpus_zero_unhandled": not replay["unhandled_exceptions"],
-        "fuzz_zero_new_crashes": not fuzz["new_crash_signatures"]
-        and not fuzz["unhandled_exceptions"],
-        "breaker_opened": breaker["opened"],
-        "breaker_recovered": breaker["recovered"],
-        "high_priority_served": shedding["high_all_served"],
-        "low_priority_shed": shedding["low_all_shed"],
-        "hostile_zero_worker_harm": (
-            hostile["hostile"]["worker_harm"] == 0
-        ),
-    }
     return {
-        "schema": BENCH_GUARD_SCHEMA,
-        "machine": machine_metadata(),
         "config": {
-            "seed": seed,
-            "corpus_dir": str(corpus),
-            "fuzz_cases": fuzz_cases,
+            "corpus_dir": replay["corpus_dir"],
             "fuzz_budget_s": fuzz_budget_s,
-            "hostile_requests": hostile_requests,
-            "concurrency": concurrency,
         },
         "corpus": replay,
         "fuzz": fuzz,
@@ -419,10 +404,10 @@ def run_guard_campaign(
         "shedding": shedding,
         "hostile": hostile,
         "summary": {
-            "gates": gates,
-            "n_gates_failed": sum(
-                1 for passed in gates.values() if not passed
-            ),
+            "corpus_crashes": len(replay["crash_signatures"]),
+            "corpus_unhandled": len(replay["unhandled_exceptions"]),
+            "fuzz_new_crashes": len(fuzz["new_crash_signatures"])
+            + len(fuzz["unhandled_exceptions"]),
             "inputs_executed": replay["n_cases"]
             + fuzz["inputs_tried"],
             "wall_s": time.perf_counter() - started,
@@ -430,22 +415,61 @@ def run_guard_campaign(
     }
 
 
-def check_guard_campaign(report: dict) -> None:
-    """Raise :class:`GuardError` naming every failed gate."""
-    gates = report["summary"]["gates"]
-    failed = sorted(
-        name for name, passed in gates.items() if not passed
-    )
-    if not failed:
-        return
-    raise GuardError(
-        f"{len(failed)} guard gate(s) failed: {', '.join(failed)} "
-        "(see the bench_guard/v1 report for the phase records)"
-    )
+def _describe(report: dict) -> list[str]:
+    summary = report["summary"]
+    breaker = report["breaker"]
+    shedding = report["shedding"]
+    hostile = report["hostile"]["hostile"]
+    return [
+        f"guard campaign: seed={report['config']['seed']} "
+        f"{summary['inputs_executed']} hostile inputs "
+        f"in {summary['wall_s']:.1f}s",
+        f"corpus: {report['corpus']['n_cases']} cases, "
+        f"crashes: {summary['corpus_crashes']}, "
+        f"unhandled: {summary['corpus_unhandled']}",
+        f"fuzz: {report['fuzz']['inputs_tried']} inputs, "
+        f"new crash signatures: {summary['fuzz_new_crashes']}",
+        f"breaker: opened={breaker['opened']} "
+        f"recovered={breaker['recovered']} "
+        f"transitions={breaker['transitions']}",
+        f"shedding: high p99 {shedding['high_p99_ms']:.1f}ms all "
+        f"served={shedding['high_all_served']}, low shed with "
+        f"Retry-After={shedding['low_all_shed']}",
+        f"hostile serve traffic: {hostile['requests']} requests, "
+        f"{hostile['contained']} contained, worker harm: "
+        f"{hostile['worker_harm']}",
+    ]
 
 
-def write_guard_report(report: dict, path: "str | Path") -> Path:
-    """Atomically persist one campaign report."""
-    target = Path(path)
-    io_atomic.atomic_write_json(target, report)
-    return target
+#: ``repro bench guard``: the same eight gates on quick and full runs.
+SUITE = Suite(
+    name="guard",
+    help="run the untrusted-input defense campaign and gate on "
+    "containment",
+    seed=7,
+    output="BENCH_guard.json",
+    params=(
+        Param("fuzz_cases", 400, "fresh fuzz inputs in the fuzzing "
+              "phase", quick=120),
+        Param("hostile_requests", 40, "hostile-mix requests against "
+              "the live guarded server", quick=16),
+        Param("concurrency", 4, "client connections of the hostile "
+              "phase"),
+    ),
+    body=run_guard_campaign,
+    gates=(
+        Gate("corpus_zero_crashes", "summary.corpus_crashes", "==", 0),
+        Gate("corpus_zero_unhandled", "summary.corpus_unhandled", "==",
+             0),
+        Gate("fuzz_zero_new_crashes", "summary.fuzz_new_crashes", "==",
+             0),
+        Gate("breaker_opened", "breaker.opened", "==", True),
+        Gate("breaker_recovered", "breaker.recovered", "==", True),
+        Gate("high_priority_served", "shedding.high_all_served", "==",
+             True),
+        Gate("low_priority_shed", "shedding.low_all_shed", "==", True),
+        Gate("hostile_zero_worker_harm", "hostile.hostile.worker_harm",
+             "==", 0),
+    ),
+    describe=_describe,
+)

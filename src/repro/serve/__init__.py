@@ -11,12 +11,11 @@ The serving stack, bottom to top:
   together with single-flight coalescing, admission control, and
   budget degradation;
 * :mod:`~repro.serve.loadgen` — the deterministic load generator and
-  its ``bench_serve/v1`` report.
+  its gated ``bench/v2`` report.
 """
 
 from .backend import SweepBackend
 from .loadgen import (
-    BENCH_SERVE_SCHEMA,
     MIXES,
     PlannedRequest,
     bench_report,
@@ -44,7 +43,6 @@ from .server import CharacterizationServer
 
 __all__ = [
     "SweepBackend",
-    "BENCH_SERVE_SCHEMA",
     "MIXES",
     "PlannedRequest",
     "bench_report",

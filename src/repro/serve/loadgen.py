@@ -1,10 +1,11 @@
 """Deterministic load generator for the characterization server.
 
 ``repro loadgen`` replays a seeded traffic mix against a running
-``repro serve`` instance and writes a ``bench_serve/v1`` report with
+``repro serve`` instance and writes a ``bench/v2`` report with
 latency percentiles, throughput, and the server-side coalesce/cache
 hit rates (measured as ``GET /metrics`` counter deltas, so a shared
-server with prior traffic still reports this run's rates).
+server with prior traffic still reports this run's rates).  The
+report's gates come from the mix (:data:`MIX_GATES`).
 
 Traffic mixes (:data:`MIXES`):
 
@@ -21,13 +22,13 @@ Traffic mixes (:data:`MIXES`):
   overflows, dense bombs, truncations, garbage).  A healthy guarded
   server answers every one with a typed 4xx — never a 5xx, never a
   dead worker — while the benign share of the traffic keeps being
-  served; the report's ``hostile`` section is what the guard campaign
-  gates.
+  served; the report's ``hostile`` section is what the hostile mix
+  (and the guard campaign) gates.
 
 Everything is driven by one ``random.Random(seed)``: the same
 ``(mix, requests, seed)`` triple plans the identical request sequence
-every run, which is what makes the CI smoke's assertions (zero 5xx,
-coalesce-hit rate above zero on hot traffic) reproducible.
+every run, which is what makes the mix gates (zero 5xx, coalesce hits
+above zero on hot traffic) reproducible.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from dataclasses import dataclass
 from random import Random
 
 from ..engine.retry import RetryPolicy
+from ..envelope import Gate, envelope
 from ..errors import LoadGenError
-from ..observability import machine_metadata
 from .protocol import canonical_json
 
 __all__ = [
-    "BENCH_SERVE_SCHEMA",
     "MIXES",
+    "MIX_GATES",
     "PlannedRequest",
     "RequestOutcome",
     "plan_requests",
@@ -58,11 +59,26 @@ __all__ = [
     "percentile",
 ]
 
-#: Version tag of the loadgen report; bump on incompatible change.
-BENCH_SERVE_SCHEMA = "bench_serve/v1"
-
 #: The traffic-mix grammar accepted by ``repro loadgen --mix``.
 MIXES = ("hot", "unique", "mixed", "hostile")
+
+_SERVED = (
+    Gate("zero_5xx", "n_5xx", "==", 0),
+    Gate("coalesced", "server.coalesce_hits", ">", 0),
+)
+
+#: The gates each mix's report is held to.  Hot-key traffic must be
+#: served without a 5xx and must coalesce; the all-miss ``unique``
+#: flood has nothing to coalesce onto; hostile traffic may be refused
+#: but must never harm a worker.
+MIX_GATES = {
+    "hot": _SERVED,
+    "unique": (),
+    "mixed": _SERVED,
+    "hostile": (
+        Gate("hostile_zero_worker_harm", "hostile.worker_harm", "==", 0),
+    ),
+}
 
 #: Fuzz-generator kinds the hostile mix draws malformed matrices from
 #: (content-producing ``mtx-*`` kinds only).
@@ -519,7 +535,7 @@ def bench_report(
     metrics_before: dict,
     metrics_after: dict,
 ) -> dict:
-    """The ``bench_serve/v1`` report for one loadgen run."""
+    """The ``bench/v2`` report for one loadgen run, gated by its mix."""
     latencies_ms = [o.latency_s * 1000.0 for o in outcomes]
     statuses: dict[str, int] = {}
     sources: dict[str, int] = {}
@@ -541,13 +557,8 @@ def bench_report(
     cache_misses = _counter_delta(
         metrics_before, metrics_after, "serve.cache.misses"
     )
-    return {
-        "schema": BENCH_SERVE_SCHEMA,
-        "machine": machine_metadata(),
-        "mix": mix,
-        "seed": seed,
+    sections = {
         "requests": len(outcomes),
-        "concurrency": concurrency,
         "wall_s": wall_s,
         "throughput_rps": len(outcomes) / wall_s if wall_s else 0.0,
         "latency_ms": {
@@ -594,6 +605,8 @@ def bench_report(
             ),
         },
     }
+    config = {"mix": mix, "seed": seed, "concurrency": concurrency}
+    return envelope("loadgen", config, sections, MIX_GATES[mix])
 
 
 async def run_loadgen(

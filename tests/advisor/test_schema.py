@@ -1,7 +1,8 @@
 """Golden-schema tests for the advisor artifacts.
 
 Mirrors the serve golden-schema suite: the exact field sets of
-``advisor_model/v1`` and ``bench_advisor/v1`` are pinned here, along
+``advisor_model/v1`` and the advisor suite's ``bench/v2`` report are
+pinned here, along
 with the self-verification contract — digest stability across
 spelling, reject-on-unknown-version, reject-on-tamper, and
 reject-on-feature-mismatch.
@@ -15,13 +16,14 @@ import pytest
 
 from repro.advisor import (
     ADVISOR_MODEL_SCHEMA,
-    BENCH_ADVISOR_SCHEMA,
     FEATURE_NAMES,
     bench_advisor,
     load_model,
     model_from_payload,
     save_model,
 )
+from repro.advisor.bench import SUITE
+from repro.envelope import BENCH_SCHEMA, envelope
 from repro.errors import AdvisorModelError
 from tests.advisor.conftest import tiny_specs
 
@@ -32,11 +34,12 @@ MODEL_FIELDS = {
 }
 HEAD_FIELDS = {"format", "partition_size", "bias", "weights"}
 
-#: bench_advisor/v1 golden field sets.
+#: bench/v2 golden field sets of the advisor suite.
 BENCH_FIELDS = {
-    "schema", "machine", "model", "config", "accuracy", "latency",
-    "per_workload",
+    "schema", "suite", "machine", "config", "gates", "n_gates_failed",
+    "model", "accuracy", "latency", "per_workload",
 }
+GATE_FIELDS = {"name", "path", "op", "bound", "value", "passed"}
 MACHINE_FIELDS = {
     "cpu_count", "platform", "machine", "python", "implementation",
 }
@@ -63,7 +66,16 @@ BENCH_WORKLOAD_FIELDS = {
 
 def test_schema_version_strings() -> None:
     assert ADVISOR_MODEL_SCHEMA == "advisor_model/v1"
-    assert BENCH_ADVISOR_SCHEMA == "bench_advisor/v1"
+    assert BENCH_SCHEMA == "bench/v2"
+    assert [(g.name, g.path, g.op, g.bound) for g in SUITE.gates] == [
+        ("spearman_mean", "accuracy.spearman_mean", ">=", 0.9),
+        ("top3_agreement", "accuracy.top3_agreement", ">=", 0.95),
+        ("speedup_min", "latency.speedup_min", ">=", 50),
+    ]
+    # a quick run's small latency matrices say nothing about speedup
+    assert [g.name for g in SUITE.quick_gates] == [
+        "spearman_mean", "top3_agreement",
+    ]
 
 
 class TestModelArtifact:
@@ -126,17 +138,25 @@ class TestBenchReport:
     @pytest.fixture(scope="class")
     def report(self, tiny_model) -> dict:
         specs = tiny_specs()
-        return bench_advisor(
+        sections = bench_advisor(
             tiny_model,
             specs[:2],
             repeats=1,
             latency_specs=specs[2:3],
         )
+        config = sections.pop("config")
+        return envelope("advisor", config, sections, SUITE.gates)
 
     def test_field_sets(self, report, tiny_model) -> None:
         assert set(report) == BENCH_FIELDS
-        assert report["schema"] == BENCH_ADVISOR_SCHEMA
+        assert report["schema"] == BENCH_SCHEMA
+        assert report["suite"] == "advisor"
         assert set(report["machine"]) == MACHINE_FIELDS
+        assert [g["name"] for g in report["gates"]] == [
+            "spearman_mean", "top3_agreement", "speedup_min",
+        ]
+        for gate in report["gates"]:
+            assert set(gate) == GATE_FIELDS
         assert set(report["model"]) == BENCH_MODEL_FIELDS
         assert report["model"]["digest"] == tiny_model.digest
         assert set(report["config"]) == BENCH_CONFIG_FIELDS

@@ -1,4 +1,4 @@
-"""The bench_guard/v1 campaign: schema, gates, and the gate checker."""
+"""The guard campaign suite: schema, gates, and the gate checker."""
 
 from __future__ import annotations
 
@@ -6,18 +6,14 @@ import copy
 
 import pytest
 
-from repro.errors import GuardError
-from repro.guard import (
-    BENCH_GUARD_SCHEMA,
-    DEFAULT_CORPUS_DIR,
-    check_guard_campaign,
-    run_guard_campaign,
-    write_guard_report,
-)
+from repro.envelope import BENCH_SCHEMA, check_gates, evaluate, write_bench
+from repro.errors import BenchGateError, GuardError
+from repro.guard import run_guard_campaign
+from repro.guard.campaign import SUITE
 
 REPORT_FIELDS = {
-    "schema", "machine", "config", "corpus", "fuzz", "breaker",
-    "shedding", "hostile", "summary",
+    "schema", "suite", "machine", "config", "gates", "n_gates_failed",
+    "corpus", "fuzz", "breaker", "shedding", "hostile", "summary",
 }
 GATES = {
     "corpus_zero_crashes", "corpus_zero_unhandled",
@@ -32,25 +28,29 @@ def report() -> dict:
     # one small full campaign shared by every assertion below: the
     # phases are end-to-end (real sandbox child, real sockets), so
     # rerunning per test would dominate the suite
-    return run_guard_campaign(
+    return SUITE.run(
         seed=3, fuzz_cases=26, hostile_requests=8, concurrency=2
     )
 
 
 class TestCampaignReport:
     def test_schema_and_fields(self, report) -> None:
-        assert report["schema"] == BENCH_GUARD_SCHEMA == "bench_guard/v1"
+        assert report["schema"] == BENCH_SCHEMA == "bench/v2"
+        assert report["suite"] == "guard"
         assert set(report) == REPORT_FIELDS
-        assert set(report["summary"]["gates"]) == GATES
+        assert {g["name"] for g in report["gates"]} == GATES
+        assert SUITE.quick_gates is None  # all eight gate quick runs too
 
     def test_all_gates_pass_on_a_healthy_tree(self, report) -> None:
-        assert report["summary"]["n_gates_failed"] == 0
-        check_guard_campaign(report)  # must not raise
+        assert report["n_gates_failed"] == 0
+        check_gates(report)  # must not raise
 
     def test_corpus_phase_replays_the_committed_corpus(
         self, report
     ) -> None:
-        assert report["config"]["corpus_dir"] == str(DEFAULT_CORPUS_DIR)
+        # repo-relative, so the report does not depend on the checkout
+        assert report["config"]["corpus_dir"] == "tests/corpus"
+        assert report["corpus"]["corpus_dir"] == "tests/corpus"
         assert report["corpus"]["n_cases"] >= 20
         assert report["corpus"]["crash_signatures"] == []
         assert report["corpus"]["unhandled_exceptions"] == []
@@ -78,20 +78,22 @@ class TestCampaignReport:
         assert hostile["contained"] == hostile["requests"]
 
     def test_write_report(self, report, tmp_path) -> None:
-        path = write_guard_report(report, tmp_path / "BENCH_guard.json")
+        path = write_bench(report, tmp_path / "BENCH_guard.json")
         assert path.is_file()
 
 
 class TestGateChecker:
     def test_failed_gate_raises_with_names(self, report) -> None:
         doctored = copy.deepcopy(report)
-        doctored["summary"]["gates"]["breaker_opened"] = False
-        doctored["summary"]["gates"]["hostile_zero_worker_harm"] = False
-        with pytest.raises(GuardError) as excinfo:
-            check_guard_campaign(doctored)
+        doctored["breaker"]["opened"] = False
+        doctored["hostile"]["hostile"]["worker_harm"] = 2
+        evaluate(doctored, SUITE.gates)
+        assert doctored["n_gates_failed"] == 2
+        with pytest.raises(BenchGateError) as excinfo:
+            check_gates(doctored)
         message = str(excinfo.value)
-        assert "breaker_opened" in message
-        assert "hostile_zero_worker_harm" in message
+        assert "breaker_opened = False" in message
+        assert "hostile_zero_worker_harm = 2 (need == 0)" in message
 
     def test_bad_config_rejected(self) -> None:
         with pytest.raises(GuardError, match="hostile_requests"):

@@ -168,3 +168,22 @@ class TestHistoricalCrashes:
             assert excinfo.value.reason in (
                 "extent-overflow", "nnz-overflow",
             )
+
+
+class TestNonFiniteValues:
+    """A corrupted values plane that validation accepts may carry
+    inf/NaN into decode and SpMV.  That arithmetic is the stimulus, not
+    a finding: the case must come back typed, warning-free."""
+
+    @pytest.mark.parametrize(
+        "fmt, seed", [("csc", 20), ("csr", 36), ("coo", 36)]
+    )
+    def test_non_finite_plane_is_a_typed_outcome(self, fmt, seed) -> None:
+        import warnings
+
+        case = build_case("enc-plane-corrupt", seed, fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = execute_case(case)
+        assert outcome.kind in TYPED_OUTCOMES
+        assert not outcome.crashed, outcome.detail

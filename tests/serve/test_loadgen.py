@@ -101,7 +101,8 @@ class TestLiveRun:
                     seed=7,
                     concurrency=6,
                 )
-                assert report["schema"] == "bench_serve/v1"
+                assert report["schema"] == "bench/v2"
+                assert report["suite"] == "loadgen"
                 assert report["requests"] == 30
                 assert report["n_5xx"] == 0
                 assert report["statuses"] == {"200": 30}
@@ -122,6 +123,11 @@ class TestLiveRun:
                     report["latency_ms"]["p99"]
                 )
                 assert report["throughput_rps"] > 0
+                # the hot mix's gates: no 5xx, some coalescing
+                assert report["n_gates_failed"] == 0
+                assert [g["name"] for g in report["gates"]] == [
+                    "zero_5xx", "coalesced",
+                ]
 
         asyncio.run(main())
 

@@ -4,7 +4,7 @@ A stub HTTP server (not the real backend — these tests are about the
 *client's* discipline) answers 429 a configurable number of times per
 distinct request body before yielding 200, which pins down exactly
 when the loadgen retries, how long it waits, and what the
-``bench_serve/v1`` retry block reports.
+loadgen report's retry block says.
 """
 
 from __future__ import annotations

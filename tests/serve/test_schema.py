@@ -2,7 +2,7 @@
 
 Mirrors the manifest golden-schema suite: the exact field sets of the
 ``serve/v1`` response bodies, the ``metrics/v1`` export, and the
-``bench_serve/v1`` loadgen report are pinned here.  Adding, removing,
+loadgen ``bench/v2`` report are pinned here.  Adding, removing,
 or renaming a field is a wire-contract change — it must bump the
 schema tag and update these sets deliberately, never silently.
 """
@@ -12,9 +12,9 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.envelope import BENCH_SCHEMA
 from repro.observability import METRICS_SCHEMA, MetricsRegistry, metrics_payload
 from repro.serve import (
-    BENCH_SERVE_SCHEMA,
     SERVE_SCHEMA,
     SweepBackend,
     canonical_json,
@@ -48,12 +48,13 @@ METRICS_FIELDS = {
     "schema", "counters", "timers", "spans", "n_spans_total", "extra",
 }
 
-#: bench_serve/v1 golden field sets.
+#: loadgen bench/v2 golden field sets.
 BENCH_FIELDS = {
-    "schema", "machine", "mix", "seed", "requests", "concurrency",
-    "wall_s", "throughput_rps", "latency_ms", "statuses", "retries",
-    "n_5xx", "n_degraded", "sources", "hostile", "server",
+    "schema", "suite", "machine", "config", "gates", "n_gates_failed",
+    "requests", "wall_s", "throughput_rps", "latency_ms", "statuses",
+    "retries", "n_5xx", "n_degraded", "sources", "hostile", "server",
 }
+BENCH_CONFIG_FIELDS = {"mix", "seed", "concurrency"}
 BENCH_HOSTILE_FIELDS = {
     "requests", "statuses", "contained", "served_2xx", "worker_harm",
 }
@@ -71,7 +72,7 @@ BENCH_SERVER_FIELDS = {
 def test_schema_version_strings() -> None:
     assert SERVE_SCHEMA == "serve/v1"
     assert METRICS_SCHEMA == "metrics/v1"
-    assert BENCH_SERVE_SCHEMA == "bench_serve/v1"
+    assert BENCH_SCHEMA == "bench/v2"
 
 
 class TestServeV1Bodies:
@@ -264,7 +265,12 @@ class TestBenchServeV1:
             ),
         )
         assert set(report) == BENCH_FIELDS
-        assert report["schema"] == BENCH_SERVE_SCHEMA
+        assert report["schema"] == BENCH_SCHEMA
+        assert report["suite"] == "loadgen"
+        assert set(report["config"]) == BENCH_CONFIG_FIELDS
+        assert report["config"] == {
+            "mix": "mixed", "seed": 7, "concurrency": 4,
+        }
         assert set(report["hostile"]) == BENCH_HOSTILE_FIELDS
         assert set(report["machine"]) == MACHINE_FIELDS
         assert set(report["latency_ms"]) == BENCH_LATENCY_FIELDS
@@ -278,3 +284,8 @@ class TestBenchServeV1:
         assert report["sources"] == {"computed": 1, "cache": 1}
         assert report["server"]["coalesce_hit_rate"] == 0.5
         assert report["server"]["computations"] == 1
+        # the mixed mix's gates: the 504 fails zero_5xx, one coalesce
+        # hit clears coalesced
+        verdicts = {g["name"]: g["passed"] for g in report["gates"]}
+        assert verdicts == {"zero_5xx": False, "coalesced": True}
+        assert report["n_gates_failed"] == 1

@@ -1,10 +1,10 @@
-"""Contract tests for the ``bench_distributed/v1`` harness.
+"""Contract tests for the distributed suite (``repro bench distributed``).
 
 The expensive paths (queue sweeps, RSS probe subprocesses) are
 exercised by the ``distributed-smoke`` CI job; here we pin the cheap
-invariants — spec grid determinism, the gate logic, and the report
-writer — so a refactor cannot silently change what the committed
-``BENCH_distributed.json`` means.
+invariants — spec grid determinism, the gates, the CPU cap, and the
+report writer — so a refactor cannot silently change what the
+committed ``BENCH_distributed.json`` means.
 """
 
 from __future__ import annotations
@@ -14,18 +14,23 @@ import json
 import pytest
 
 from repro.bench_distributed import (
-    BENCH_DISTRIBUTED_SCHEMA,
     SCALING_GATE_2_WORKERS,
+    SUITE,
     bench_queue_scaling,
-    check_distributed_report,
     scaling_specs,
-    write_distributed_report,
+    usable_worker_counts,
 )
-from repro.errors import SimulationError
+from repro.envelope import BENCH_SCHEMA, check_gates, evaluate, write_bench
+from repro.errors import BenchGateError, SimulationError
 
-#: bench_distributed/v1 golden field sets — update with a schema bump.
+#: bench/v2 golden field sets of the distributed suite.
 REPORT_FIELDS = {
-    "schema", "machine", "config", "scaling", "streaming", "summary",
+    "schema", "suite", "machine", "config", "gates", "n_gates_failed",
+    "scaling", "streaming", "summary",
+}
+GATES = {
+    "digests_identical", "rss_reduced", "speedup_2_workers",
+    "out_of_core",
 }
 SCALING_ROW_FIELDS = {
     "workers", "wall_s", "cells_per_s", "speedup_vs_1",
@@ -40,7 +45,8 @@ SUMMARY_FIELDS = {
 def make_report(**overrides) -> dict:
     """A minimal passing report; overrides poke individual gates."""
     report = {
-        "schema": BENCH_DISTRIBUTED_SCHEMA,
+        "schema": BENCH_SCHEMA,
+        "suite": "distributed",
         "streaming": {"triplet_mb": 46.0, "memory_budget_mb": 8.0},
         "summary": {
             "speedup_2_workers": 1.9,
@@ -52,12 +58,19 @@ def make_report(**overrides) -> dict:
     for key, value in overrides.items():
         section, _, field = key.partition("__")
         report[section][field] = value
-    return report
+    return evaluate(report, SUITE.gates)
+
+
+def failed(report: dict) -> set[str]:
+    return {g["name"] for g in report["gates"] if g["passed"] is False}
 
 
 def test_schema_version_string() -> None:
-    assert BENCH_DISTRIBUTED_SCHEMA == "bench_distributed/v1"
+    assert BENCH_SCHEMA == "bench/v2"
     assert SCALING_GATE_2_WORKERS == 1.7
+    assert {g.name for g in SUITE.gates} == GATES
+    # quick runs are too short to scale and fit the budget by design
+    assert [g.name for g in SUITE.quick_gates] == ["digests_identical"]
 
 
 class TestScalingSpecs:
@@ -77,38 +90,57 @@ class TestScalingSpecs:
 
 class TestGates:
     def test_passing_report_has_no_problems(self) -> None:
-        assert check_distributed_report(make_report()) == []
+        report = make_report()
+        assert report["n_gates_failed"] == 0
+        check_gates(report)  # must not raise
 
     def test_digest_mismatch_is_flagged(self) -> None:
         report = make_report(summary__digests_identical=False)
-        assert any(
-            "digests differ" in p
-            for p in check_distributed_report(report)
-        )
+        assert failed(report) == {"digests_identical"}
+        with pytest.raises(BenchGateError, match="digests_identical"):
+            check_gates(report)
 
     def test_slow_scaling_is_flagged(self) -> None:
         report = make_report(summary__speedup_2_workers=1.2)
-        assert any(
-            "below" in p for p in check_distributed_report(report)
-        )
+        assert failed(report) == {"speedup_2_workers"}
+        with pytest.raises(BenchGateError, match=r"1\.2 \(need >= 1\.7\)"):
+            check_gates(report)
 
     def test_small_matrix_is_flagged(self) -> None:
         report = make_report(streaming__triplet_mb=1.0)
-        assert any(
-            "does not exceed" in p
-            for p in check_distributed_report(report)
-        )
+        assert failed(report) == {"out_of_core"}
 
     def test_rss_regression_is_flagged(self) -> None:
         report = make_report(summary__rss_reduction=0.9)
-        assert any(
-            "did not reduce" in p
-            for p in check_distributed_report(report)
-        )
+        assert failed(report) == {"rss_reduced"}
 
     def test_missing_two_worker_row_is_tolerated(self) -> None:
         report = make_report(summary__speedup_2_workers=None)
-        assert check_distributed_report(report) == []
+        verdict = {g["name"]: g for g in report["gates"]}
+        assert verdict["speedup_2_workers"]["passed"] is None
+        assert report["n_gates_failed"] == 0
+        check_gates(report)
+
+
+class TestCpuCap:
+    @pytest.mark.parametrize(
+        "cpus, kept, dropped",
+        [
+            (1, (1,), (2, 4)),
+            (2, (1, 2), (4,)),
+            (4, (1, 2, 4), ()),
+            (64, (1, 2, 4), ()),
+        ],
+    )
+    def test_counts_above_cpu_count_are_dropped(
+        self, monkeypatch, cpus, kept, dropped
+    ) -> None:
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert usable_worker_counts((1, 2, 4)) == (kept, dropped)
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch) -> None:
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert usable_worker_counts((1, 2)) == ((1,), (2,))
 
 
 class TestHarnessValidation:
@@ -120,17 +152,13 @@ class TestHarnessValidation:
 class TestReportWriter:
     def test_round_trip_and_trailing_newline(self, tmp_path) -> None:
         report = make_report()
-        path = write_distributed_report(
-            report, tmp_path / "report.json"
-        )
+        path = write_bench(report, tmp_path / "report.json")
         text = path.read_text(encoding="ascii")
         assert text.endswith("\n")
         assert json.loads(text) == report
 
     def test_keys_are_sorted(self, tmp_path) -> None:
-        path = write_distributed_report(
-            {"b": 1, "a": 2}, tmp_path / "r.json"
-        )
+        path = write_bench({"b": 1, "a": 2}, tmp_path / "r.json")
         assert path.read_text().index('"a"') < path.read_text().index(
             '"b"'
         )
@@ -146,8 +174,15 @@ def test_committed_report_passes_the_gates() -> None:
     )
     report = json.loads(committed.read_text())
     assert set(report) == REPORT_FIELDS
-    assert report["schema"] == BENCH_DISTRIBUTED_SCHEMA
+    assert report["schema"] == BENCH_SCHEMA
+    assert report["suite"] == "distributed"
+    assert report["config"]["quick"] is False
     assert set(report["summary"]) == SUMMARY_FIELDS
+    assert {g["name"] for g in report["gates"]} == GATES
     for row in report["scaling"]["rows"]:
         assert set(row) == SCALING_ROW_FIELDS
-    assert check_distributed_report(report) == []
+        # never a worker count the recording machine could not run
+        assert row["workers"] <= report["machine"]["cpu_count"]
+    assert report["n_gates_failed"] == 0
+    # the recorded verdicts are what the gates say today
+    assert evaluate(json.loads(committed.read_text()), SUITE.gates) == report

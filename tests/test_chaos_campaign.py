@@ -1,7 +1,7 @@
 """The chaos campaign: reproducible schedules, hard gates, reporting.
 
-A full 2-schedule campaign runs live here (one queue schedule under a
-seeded fault plan, recovery, and gate checks); everything else — plan
+A full 2-schedule campaign runs live here (queue schedules under
+seeded fault plans, recovery, and gate checks); everything else — plan
 drawing, gate semantics, report schema, the CLI wiring — is exercised
 on the report structure, which is fast and deterministic.
 """
@@ -14,18 +14,19 @@ from random import Random
 import pytest
 
 from repro.chaos import (
-    BENCH_CHAOS_SCHEMA,
+    SUITE,
+    _stable_message,
     campaign_grid,
-    check_campaign,
     random_plan,
     run_chaos_campaign,
-    write_chaos_report,
 )
 from repro.cli import main
-from repro.errors import ChaosError
+from repro.envelope import BENCH_SCHEMA, check_gates, evaluate, write_bench
+from repro.errors import BenchGateError, ChaosCrash, ChaosError
 
 REPORT_FIELDS = {
-    "schema", "machine", "config", "reference", "schedules", "summary",
+    "schema", "suite", "machine", "config", "gates", "n_gates_failed",
+    "reference", "schedules", "summary",
 }
 SUMMARY_FIELDS = {
     "n_schedules", "n_queue", "n_serve", "n_crashed", "n_recovered",
@@ -58,8 +59,8 @@ class TestLiveCampaign:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
         workdir = tmp_path_factory.mktemp("chaos-smoke")
-        return run_chaos_campaign(
-            seed=11, n_schedules=2, workers=2, workdir=workdir
+        return SUITE.run(
+            seed=11, n_schedules=2, workers=2, workdir=str(workdir)
         )
 
     def test_all_schedules_recover_with_zero_violations(self, report):
@@ -67,14 +68,22 @@ class TestLiveCampaign:
         assert report["summary"]["n_violations"] == 0
         for schedule in report["schedules"]:
             assert schedule["violations"] == []
-        check_campaign(report)  # must not raise
+        assert report["n_gates_failed"] == 0
+        check_gates(report)  # must not raise
 
     def test_report_schema(self, report):
-        assert report["schema"] == BENCH_CHAOS_SCHEMA
+        assert report["schema"] == BENCH_SCHEMA
+        assert report["suite"] == "chaos"
         assert set(report) == REPORT_FIELDS
         assert set(report["summary"]) == SUMMARY_FIELDS
         assert report["config"]["seed"] == 11
+        assert report["config"]["n_schedules"] == 2
+        assert report["config"]["workers"] == 2
+        assert report["config"]["n_cells"] == 8
         assert report["reference"]["n_cells"] == 8
+        assert [g["name"] for g in report["gates"]] == [
+            "zero_violations", "zero_uncaught",
+        ]
 
     def test_queue_schedules_match_the_reference_digest(self, report):
         queue_schedules = [
@@ -91,7 +100,7 @@ class TestLiveCampaign:
         self, report, tmp_path
     ):
         path = tmp_path / "BENCH_chaos.json"
-        write_chaos_report(report, path)
+        write_bench(report, path)
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(report)
         )
@@ -108,9 +117,38 @@ class TestLiveCampaign:
         assert plans == rerun
 
 
+class TestReproducibility:
+    def test_same_seed_reports_are_equal(self):
+        # seed 7's first two schedules tear the coordinator's checkpoint
+        # after whole chunks merged, so recovery does not race worker
+        # claims; schedules that crash mid-claim still vary in the
+        # doctor's expired-claim count from run to run
+        def report():
+            full = SUITE.run(seed=7, n_schedules=2)
+            del full["summary"]["wall_s"], full["machine"]
+            return full
+
+        first, second = report(), report()
+        assert first == second
+        assert all(s["crashed"] for s in first["schedules"])
+
+    def test_workdir_and_pids_are_masked(self, tmp_path):
+        error = ChaosCrash(
+            "injected coordinator crash after torn write (torn-write@"
+            f"shards at {tmp_path}/queue-8/results/coordinator-31448.jsonl"
+            " and w01-5195.jsonl)"
+        )
+        assert _stable_message(error, tmp_path) == (
+            "ChaosCrash: injected coordinator crash after torn write "
+            "(torn-write@shards at <workdir>/queue-8/results/"
+            "coordinator-<pid>.jsonl and w01-<pid>.jsonl)"
+        )
+
+
 class TestGates:
     def test_violations_raise_chaos_error(self):
         bad = {
+            "suite": "chaos",
             "schedules": [
                 {"index": 0, "plan": "crash@merge", "violations": []},
                 {
@@ -119,18 +157,25 @@ class TestGates:
                     "violations": ["digest-mismatch"],
                 },
             ],
-            "summary": {"n_violations": 1},
+            "summary": {"n_violations": 1, "uncaught_failures": 0},
         }
-        with pytest.raises(ChaosError, match="digest-mismatch"):
-            check_campaign(bad)
+        evaluate(bad, SUITE.gates)
+        with pytest.raises(BenchGateError, match="zero_violations = 1"):
+            check_gates(bad)
+
+    def test_bad_config_rejected(self):
+        with pytest.raises(ChaosError, match="n_schedules"):
+            run_chaos_campaign(n_schedules=0)
+        with pytest.raises(ChaosError, match="workers"):
+            run_chaos_campaign(workers=0)
 
     def test_clean_report_passes(self):
-        check_campaign(
-            {
-                "schedules": [{"index": 0, "violations": []}],
-                "summary": {"n_violations": 0},
-            }
-        )
+        clean = {
+            "suite": "chaos",
+            "schedules": [{"index": 0, "violations": []}],
+            "summary": {"n_violations": 0, "uncaught_failures": 0},
+        }
+        check_gates(evaluate(clean, SUITE.gates))
 
 
 class TestChaosCli:
@@ -139,15 +184,16 @@ class TestChaosCli:
     ):
         output = tmp_path / "BENCH_chaos.json"
         code = main([
-            "chaos", "--seed", "11", "--schedules", "1",
+            "bench", "chaos", "--seed", "11", "--schedules", "1",
             "--workers", "2", "--output", str(output),
             "--workdir", str(tmp_path / "work"),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "gates passed" in out
+        assert "gate pass: zero_violations = 0" in out
+        assert "all 2 gate(s) passed" in out
         report = json.loads(output.read_text())
-        assert report["schema"] == BENCH_CHAOS_SCHEMA
+        assert report["schema"] == BENCH_SCHEMA
         assert report["summary"]["n_violations"] == 0
 
     def test_doctor_command_checks_a_checkpoint(

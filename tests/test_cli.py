@@ -373,12 +373,14 @@ class TestServeLoadgenCli:
             capsys, "loadgen", "--spawn", "--mix", "hot",
             "--requests", "25", "--seed", "7",
             "--output", str(report_path),
-            "--require-zero-5xx", "--require-coalesce",
         )
         assert f"report written to {report_path}" in out
         assert "throughput:" in out
+        assert "gate pass: zero_5xx = 0" in out
+        assert "gate pass: coalesced" in out
         report = json.loads(report_path.read_text())
-        assert report["schema"] == "bench_serve/v1"
+        assert report["schema"] == "bench/v2"
+        assert report["n_gates_failed"] == 0
         assert report["requests"] == 25
         assert report["n_5xx"] == 0
         assert report["server"]["coalesce_hits"] > 0
@@ -410,7 +412,8 @@ class TestServeLoadgenCli:
 
 
 class TestAdvisorCLI:
-    """``repro advisor train/bench`` and ``repro advise --fast``."""
+    """``repro advisor train``, ``repro bench advisor`` and
+    ``repro advise --fast``."""
 
     def _train(self, capsys, tmp_path, *extra: str) -> str:
         model = tmp_path / "model.json"
@@ -437,16 +440,25 @@ class TestAdvisorCLI:
     def test_train_then_bench_writes_report(self, capsys, tmp_path):
         model = self._train(capsys, tmp_path)
         report = tmp_path / "BENCH_advisor.json"
-        out = run_cli(
-            capsys, "advisor", "bench", "--model", model,
-            "--output", str(report), "--repeats", "1",
-            "--latency-n", "128",
-        )
-        assert "spearman" in out
-        assert "speedup" in out
+        # a 128x128 latency contest cannot clear the 50x speedup gate:
+        # the run writes its report, prints every verdict, then exits 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "bench", "advisor", "--model", model,
+                "--output", str(report), "--repeats", "1",
+                "--latency-n", "128",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "spearman" in captured.out
+        assert "gate FAIL: speedup_min" in captured.out
+        assert "error: advisor:" in captured.err
+        assert "speedup_min" in captured.err
         assert report.is_file()
         payload = json.loads(report.read_text())
-        assert payload["schema"] == "bench_advisor/v1"
+        assert payload["schema"] == "bench/v2"
+        assert payload["config"]["latency_n"] == 128
+        assert payload["n_gates_failed"] >= 1
 
     def test_fast_requires_model_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -475,7 +487,7 @@ class TestAdvisorCLI:
     def test_bench_missing_model_names_the_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
-                "advisor", "bench",
+                "bench", "advisor",
                 "--model", "/nonexistent/model.json",
             ])
         assert exc.value.code == 2
