@@ -476,7 +476,7 @@ SUITE = Suite(
     output="BENCH_chaos.json",
     params=(
         Param("n_schedules", 20, "crash/recovery schedules to run",
-              quick=3, option="--schedules"),
+              option="--schedules"),
         Param("workers", 2, "queue worker processes per schedule"),
         Param(
             "workdir", None,

@@ -538,7 +538,7 @@ def _bench_suites() -> tuple:
 
 def _report_and_gate(report: dict, output: str, lines: list[str]) -> str:
     """Write the report, print its gates, then fail on a failed gate."""
-    from .envelope import check_gates, gate_lines, write_bench
+    from .envelope import check_gates, gate_lines, gate_summary, write_bench
 
     path = write_bench(report, output)
     print(
@@ -548,7 +548,7 @@ def _report_and_gate(report: dict, output: str, lines: list[str]) -> str:
     )
     # raises BenchGateError (exit 2) only now the report is on disk
     check_gates(report)
-    return f"all {len(report['gates'])} gate(s) passed"
+    return gate_summary(report)
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
@@ -1581,10 +1581,15 @@ def build_parser() -> argparse.ArgumentParser:
     suites = bench.add_subparsers(dest="suite", required=True)
     for suite in _bench_suites():
         sub = suites.add_parser(suite.name, help=suite.help)
+        sized = suite.quick_gates is not None or any(
+            param.quick is not None for param in suite.params
+        )
         sub.add_argument(
             "--quick", action="store_true",
             help="CI-sized run; gates that mean nothing at that size "
-            "are left out",
+            "are left out" if sized else
+            "no effect: this suite has no CI size, it always runs in "
+            "full with every gate",
         )
         sub.add_argument(
             "--seed", type=int, default=suite.seed,

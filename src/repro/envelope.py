@@ -13,6 +13,8 @@ gated the same way:
   no value, e.g. a worker count the machine cannot run);
 * :func:`write_bench` is the one writer: atomic, indented JSON with
   sorted keys and a trailing newline;
+* :func:`gate_summary` is the closing verdict line, counting only
+  gates that passed (a gate without a value is not a pass);
 * :func:`check_gates` raises :class:`~repro.errors.BenchGateError`
   (CLI exit 2) naming each failed gate with its value and bound.
   Callers run it only after the report is on disk.
@@ -45,6 +47,7 @@ __all__ = [
     "envelope",
     "evaluate",
     "gate_lines",
+    "gate_summary",
     "write_bench",
 ]
 
@@ -52,6 +55,9 @@ __all__ = [
 BENCH_SCHEMA = "bench/v2"
 
 _OPS = {"==": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+#: Keys the envelope owns; no suite section may reuse one.
+_HEADER = ("schema", "suite", "machine", "config", "gates", "n_gates_failed")
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,11 @@ def envelope(
     suite: str, config: dict, sections: dict, gates: "tuple[Gate, ...]"
 ) -> dict:
     """The ``bench/v2`` report: header, then the suite's sections."""
+    clash = sorted(set(sections) & set(_HEADER))
+    if clash:
+        raise TypeError(
+            f"{suite}: section(s) {clash} clash with the report header"
+        )
     report = {
         "schema": BENCH_SCHEMA,
         "suite": suite,
@@ -120,6 +131,22 @@ def gate_lines(report: dict) -> list[str]:
     return [
         f"gate {marks[v['passed']]}: {_describe(v)}" for v in report["gates"]
     ]
+
+
+def gate_summary(report: dict) -> str:
+    """The closing verdict: how many gates passed, and of how many."""
+    verdicts = report["gates"]
+    if not verdicts:
+        return "no gates on this run"
+    passed = sum(v["passed"] is True for v in verdicts)
+    missing = sum(v["passed"] is None for v in verdicts)
+    if passed == len(verdicts):
+        return f"all {passed} gate(s) passed"
+    return (
+        f"{passed} of {len(verdicts)} gate(s) passed "
+        f"({len(verdicts) - passed - missing} failed, "
+        f"{missing} without a value)"
+    )
 
 
 def check_gates(report: dict) -> None:
@@ -184,7 +211,8 @@ class Suite:
 
     ``body(seed=..., **params)`` runs the suite and returns its
     sections; a ``config`` entry among them carries derived settings
-    into the report's ``config`` next to the resolved parameters.
+    into the report's ``config`` next to the resolved parameters (it
+    may not repeat one of them, nor ``seed``/``quick``).
     """
 
     name: str
@@ -221,12 +249,15 @@ class Suite:
         seed = self.seed if seed is None else seed
         params = self.resolve(quick, **given)
         sections = self.body(seed=seed, **params)
-        config = {
-            "seed": seed,
-            "quick": quick,
-            **params,
-            **sections.pop("config", {}),
-        }
+        config = {"seed": seed, "quick": quick, **params}
+        derived = sections.pop("config", {})
+        clash = sorted(set(derived) & set(config))
+        if clash:
+            raise TypeError(
+                f"{self.name}: derived config {clash} would overwrite "
+                "the parameters that ran"
+            )
+        config.update(derived)
         gates = self.gates
         if quick and self.quick_gates is not None:
             gates = self.quick_gates

@@ -177,6 +177,11 @@ class TestGates:
         }
         check_gates(evaluate(clean, SUITE.gates))
 
+    def test_no_quick_mode(self):
+        # --quick runs the full 20 schedules with both gates
+        assert SUITE.quick_gates is None
+        assert SUITE.resolve(quick=True) == SUITE.resolve()
+
 
 class TestChaosCli:
     def test_chaos_command_runs_and_writes_the_report(

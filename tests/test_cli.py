@@ -364,6 +364,25 @@ class TestStatsPathErrors:
         assert "Traceback" not in err
 
 
+class TestBenchVerdict:
+    def test_a_gate_without_a_value_is_not_counted_as_passed(
+        self, capsys, tmp_path
+    ):
+        from repro.cli import _report_and_gate
+        from repro.envelope import Gate, evaluate
+
+        report = evaluate(
+            {"suite": "toy", "summary": {"digests": True, "speedup": None}},
+            (
+                Gate("digests", "summary.digests", "==", True),
+                Gate("speedup", "summary.speedup", ">=", 1.7),
+            ),
+        )
+        verdict = _report_and_gate(report, str(tmp_path / "r.json"), [])
+        assert verdict == "1 of 2 gate(s) passed (0 failed, 1 without a value)"
+        assert "gate no value: speedup = None" in capsys.readouterr().out
+
+
 class TestServeLoadgenCli:
     def test_loadgen_spawn_smoke(self, capsys, tmp_path):
         import json

@@ -20,6 +20,7 @@ from repro.envelope import (
     envelope,
     evaluate,
     gate_lines,
+    gate_summary,
     write_bench,
 )
 from repro.errors import BenchGateError, CopernicusError
@@ -63,6 +64,30 @@ def test_envelope_header_and_sections():
     assert report["config"] == {"seed": 1}
     assert report["summary"] == {"x": 2}
     assert report["n_gates_failed"] == 1
+
+
+@pytest.mark.parametrize(
+    "section", ["schema", "suite", "machine", "config", "gates",
+                "n_gates_failed"],
+)
+def test_a_section_may_not_replace_the_header(section):
+    with pytest.raises(TypeError, match=section):
+        envelope("toy", {"seed": 1}, {section: {}}, ())
+
+
+@pytest.mark.parametrize(
+    "passed, summary",
+    [
+        ([True, True], "all 2 gate(s) passed"),
+        ([True, None], "1 of 2 gate(s) passed (0 failed, 1 without a value)"),
+        ([False, None, True],
+         "1 of 3 gate(s) passed (1 failed, 1 without a value)"),
+        ([], "no gates on this run"),
+    ],
+)
+def test_summary_counts_only_gates_that_passed(passed, summary):
+    report = {"gates": [{"passed": p} for p in passed]}
+    assert gate_summary(report) == summary
 
 
 def test_check_names_every_failed_gate_with_value_and_bound():
@@ -149,6 +174,18 @@ class TestSuite:
         # the quick list leaves out a gate a size-10 run would fail
         assert [g["name"] for g in quick["gates"]] == ["seed_kept"]
         assert quick["n_gates_failed"] == 0
+
+    @pytest.mark.parametrize("key", ["seed", "quick", "size", "label"])
+    def test_derived_config_may_not_overwrite_what_ran(self, key):
+        def body(seed, size, label):
+            return {"config": {key: "other"}, "summary": {"size": size}}
+
+        clashing = Suite(
+            name="clash", help="", seed=5, output="x.json",
+            params=TOY.params, body=body, gates=(), describe=TOY.describe,
+        )
+        with pytest.raises(TypeError, match=key):
+            clashing.run()
 
     def test_param_flags(self):
         size, label = TOY.params
