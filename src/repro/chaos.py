@@ -28,7 +28,12 @@ process ids masked, so they do not differ between reruns by a pid or
 a temporary path.
 A schedule that violates any invariant lands in the report, and the
 suite's zero-violations gate fails the run (CLI exit 2): chaos
-findings are test failures, not log lines.
+findings are test failures, not log lines.  A schedule that raises
+outside the crash model (anything but a ``CopernicusError`` or
+``OSError``) does not abort the campaign: its exception type and
+masked message are recorded as the schedule's ``uncaught`` field,
+counted in ``summary.uncaught_failures``, and the zero-uncaught gate
+fails the run.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ _SERVE_REQUESTS = 32
 #: Every ``serve_every``-th schedule is a serve schedule; the rest
 #: are queue schedules.
 _SERVE_EVERY = 5
+
+#: The fault every serve schedule injects.
+_SERVE_PLAN = "sigterm@serve#midflight"
 
 
 def campaign_grid() -> list:
@@ -342,7 +350,7 @@ async def _serve_schedule(
     return {
         "index": index,
         "kind": "serve",
-        "plan": "sigterm@serve#midflight",
+        "plan": _SERVE_PLAN,
         "fault_kinds": ["sigterm"],
         "crashed": None,
         "statuses": statuses,
@@ -385,19 +393,36 @@ def run_chaos_campaign(
         schedules: list[dict] = []
         for index in range(n_schedules):
             rng = Random(seed * 10007 + index)
-            if index % _SERVE_EVERY == _SERVE_EVERY - 1:
-                record = asyncio.run(
-                    _serve_schedule(index, rng, root)
-                )
-            else:
-                record = _run_queue_schedule(
-                    index, rng, root, reference, n_cells, workers
-                )
+            serve = index % _SERVE_EVERY == _SERVE_EVERY - 1
+            try:
+                if serve:
+                    record = asyncio.run(
+                        _serve_schedule(index, rng, root)
+                    )
+                else:
+                    record = _run_queue_schedule(
+                        index, rng, root, reference, n_cells, workers
+                    )
+            except Exception as error:  # noqa: BLE001 — gated below
+                # a bug outside the crash model: keep going, so the
+                # report is written and the zero_uncaught gate fails
+                record = {
+                    "index": index,
+                    "kind": "serve" if serve else "queue",
+                    # the schedule's first draw, made again
+                    "plan": _SERVE_PLAN if serve else random_plan(
+                        Random(seed * 10007 + index)
+                    ).describe(),
+                    "fault_kinds": [],
+                    "crashed": None,
+                    "uncaught": _stable_message(error, root),
+                    "violations": [],
+                }
             schedules.append(record)
 
         recoveries: dict[str, int] = {}
         for record in schedules:
-            if record["violations"]:
+            if record["violations"] or "uncaught" in record:
                 continue
             for kind in record["fault_kinds"]:
                 recoveries[kind] = recoveries.get(kind, 0) + 1
@@ -420,13 +445,17 @@ def run_chaos_campaign(
                     1 for r in schedules if r["crashed"]
                 ),
                 "n_recovered": sum(
-                    1 for r in schedules if not r["violations"]
+                    1
+                    for r in schedules
+                    if not r["violations"] and "uncaught" not in r
                 ),
                 "n_violations": n_violations,
                 "recoveries_by_fault_kind": dict(
                     sorted(recoveries.items())
                 ),
-                "uncaught_failures": 0,
+                "uncaught_failures": sum(
+                    1 for r in schedules if "uncaught" in r
+                ),
                 "wall_s": time.perf_counter() - started,
             },
         }
@@ -454,9 +483,16 @@ def _describe(report: dict) -> list[str]:
         f"({report['reference']['n_cells']} cells)",
         f"crashed: {summary['n_crashed']}, recovered clean: "
         f"{summary['n_recovered']}, invariant violations: "
-        f"{summary['n_violations']}",
+        f"{summary['n_violations']}, uncaught failures: "
+        f"{summary['uncaught_failures']}",
         f"recoveries by fault kind: {recoveries or 'none'}",
     ]
+    lines.extend(
+        f"schedule {record['index']} ({record['plan']}): uncaught "
+        + record["uncaught"]
+        for record in report["schedules"]
+        if "uncaught" in record
+    )
     lines.extend(
         f"schedule {record['index']} ({record['plan']}): "
         + ", ".join(record["violations"])

@@ -48,6 +48,7 @@ from . import io_atomic
 from .engine.cache import matrix_content_key
 from .engine.checkpoint import (
     CheckpointWriter,
+    _cell_value,
     _decode_payload,
     _iter_records,
     _validate_header,
@@ -133,7 +134,9 @@ def _audit_jsonl(audit: _Audit, path: Path) -> None:
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
-            if "payload" in record:
+            if record.get("type") == "cell":
+                _cell_value(record)
+            elif "payload" in record:
                 _decode_payload(record["payload"])
         except Exception as error:  # noqa: BLE001 — any damage counts
             dropped += 1

@@ -30,6 +30,7 @@ from .checkpoint import (
     CheckpointState,
     CheckpointWriter,
     cell_digest,
+    cell_digests,
     checkpoint_digest,
     checkpoint_summary,
     compact_checkpoint,
@@ -66,6 +67,7 @@ __all__ = [
     "CheckpointState",
     "CheckpointWriter",
     "cell_digest",
+    "cell_digests",
     "checkpoint_digest",
     "checkpoint_summary",
     "compact_checkpoint",

@@ -4,10 +4,10 @@ A checkpoint is the durable sibling of a run manifest: one JSON line
 per *completed* cell, appended (and flushed) the moment the parent
 process sees the result, so a sweep killed at any point leaves behind
 every finished cell.  Resuming replays those cells from disk and
-executes only the remainder — and because the replay payload is the
-pickled :class:`~repro.core.results.CharacterizationResult` itself
-(zlib-compressed, base64-armored inside the JSON record), a resumed
-sweep's outcome is bit-identical to an uninterrupted run's.
+executes only the remainder — and because a cell record holds every
+value of the :class:`~repro.core.results.CharacterizationResult`
+exactly, a resumed sweep's outcome is bit-identical to an
+uninterrupted run's.
 
 Records are keyed by the **cell recipe digest** — a content digest of
 (workload recipe, format, partition size, hardware config) — not by
@@ -20,12 +20,35 @@ Wire format (one JSON object per line)::
     {"type": "header", "kind": "copernicus-sweep-checkpoint", ...}
     {"type": "cell", "digest": ..., "workload": ..., "format": ...,
      "partition_size": ..., "wall_s": ..., "cache_key": ...,
+     "sigma": ..., "clock_mhz": ..., "fill_drain": [fill, drain],
+     "size": [useful, data, metadata],
+     "resources": [bram_18k, ff, lut, ff_mapped_buffer_bits],
+     "power": [logic_w, bram_w, signals_w, static_w],
+     "tiles": n, "columns": "<base64(zlib-1(6 x n int64 LE))>"}
+    {"type": "cell", "digest": ..., ..., "cache_key": ...,
      "payload": "<base64(zlib(pickle(result)))>"}
     {"type": "encoding", "workload": ..., "format": ...,
      "payload": "<base64(zlib(pickle(EncodeSummary)))>"}
     {"type": "failed", "digest": ..., "index": ..., "workload": ...,
      "format": ..., "partition_size": ...,
      "payload": "<base64(zlib(pickle(FailedCell)))>"}
+
+A cell is written as a **typed record** (the first ``cell`` form) when
+its result is canonical: exactly a ``CharacterizationResult`` of the
+usual component types, its format and partition size equal to the
+cell's, every scalar exactly the declared ``str``/``int``/``float``
+(so a JSON round trip returns it unchanged), and the six per-tile
+columns 1-D little-endian ``int64`` of one length.  The columns —
+memory, decompress, dot, useful, data, metadata cycles/bytes, in that
+order — share one concatenated block with one ``zlib`` level-1 pass;
+nothing is pickled.  Any other result is written as a ``payload``
+record, so no value the digest can see is lost.  :func:`_cell_value`
+reads both forms (every checkpoint written before typed records
+still loads) and is strict: a typed record with a wrong block length,
+bad base64 or a missing or mistyped field raises
+:class:`~repro.errors.CheckpointError` and never reaches
+``pickle.loads``.  A build that predates typed records refuses them
+with the same error (the record has no ``payload``).
 
 The file is append-only; re-executed cells simply append again and the
 loader keeps the latest record per digest (a ``cell`` record clears an
@@ -38,15 +61,16 @@ Distributed sweeps stack another layer on the same format: every
 queue worker appends to its **own shard** checkpoint, and the
 coordinator merges shards into the canonical checkpoint in grid
 order.  :func:`checkpoint_digest` is the correctness gate for that
-merge.  It is defined over *decoded values*, never over payload
-bytes: the latest record per key survives, each surviving payload is
-unpickled and fed through one fixed, type-tagged walk
+merge.  It is defined over *decoded values*, never over record
+bytes: the latest record per key survives, each surviving record is
+decoded and fed through one fixed, type-tagged walk
 (:func:`_hash_value` — strings length-prefixed, scalars by type and
 ``repr``, arrays by dtype, shape and bytes, dataclasses by qualified
 name and compared fields), and wall-clock times, cache keys and
 record order are left out.  A queue-backend checkpoint and a
 sequential one therefore compare equal iff they hold equal results,
-however the pickler happened to lay out the bytes.
+whether a cell was stored typed or pickled and however the pickler
+happened to lay out the bytes.
 :func:`compact_checkpoint` rewrites a record log keeping only the
 latest record per key (``repro checkpoint --compact``).
 """
@@ -61,22 +85,28 @@ import pickle
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .. import io_atomic
-from ..errors import CheckpointError
+from ..core.results import CharacterizationResult
+from ..errors import CheckpointError, CopernicusError
+from ..formats.base import SizeBreakdown
+from ..hardware.decompressors import ComputeColumns, SizeColumns
+from ..hardware.pipeline import PipelineResult
+from ..hardware.power import PowerBreakdown
+from ..hardware.resources import ResourceEstimate
 from .telemetry import workload_recipe_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.results import CharacterizationResult
     from .grid import EncodeSummary, FailedCell, SweepCell
 
 __all__ = [
     "CHECKPOINT_KIND",
     "CHECKPOINT_SCHEMA",
     "cell_digest",
+    "cell_digests",
     "CheckpointState",
     "CheckpointWriter",
     "load_checkpoint",
@@ -100,15 +130,45 @@ def cell_digest(cell: "SweepCell") -> str:
     for materialized workloads), same format, same partition size and
     same base hardware configuration.
     """
-    payload = repr((
-        workload_recipe_digest(cell.workload),
-        cell.format_name,
-        cell.partition_size,
-        cell.config,
-    ))
-    return hashlib.blake2b(
-        payload.encode("utf-8"), digest_size=16
-    ).hexdigest()
+    return cell_digests([cell])[0]
+
+
+def cell_digests(cells: "Sequence[SweepCell]") -> list[str]:
+    """:func:`cell_digest` of every cell, each workload and config once.
+
+    A grid repeats every workload and config across its formats and
+    partition sizes; a materialized workload's recipe digest hashes
+    the whole matrix, so it is taken once per distinct workload
+    object, as is each config's ``repr``.
+    """
+    # keyed by id(); each value keeps its object alive, so no id is
+    # reused while the table stands
+    seen: dict[int, tuple[object, str]] = {}
+
+    def text_of(obj, describe) -> str:
+        entry = seen.get(id(obj))
+        if entry is None:
+            entry = seen[id(obj)] = (obj, describe(obj))
+        return entry[1]
+
+    digests = []
+    for cell in cells:
+        workload = text_of(
+            cell.workload, lambda w: repr(workload_recipe_digest(w))
+        )
+        config = text_of(cell.config, repr)
+        # byte for byte the repr of the (recipe, format, p, config)
+        # tuple
+        payload = (
+            f"({workload}, {cell.format_name!r}, "
+            f"{cell.partition_size!r}, {config})"
+        )
+        digests.append(
+            hashlib.blake2b(
+                payload.encode("utf-8"), digest_size=16
+            ).hexdigest()
+        )
+    return digests
 
 
 def _encode_payload(obj) -> str:
@@ -123,6 +183,188 @@ def _decode_payload(text: str):
     except Exception as error:
         raise CheckpointError(
             f"undecodable checkpoint payload: "
+            f"{type(error).__name__}: {error}"
+        ) from error
+
+
+#: Typed cell records: the attributes behind each list field.
+_SIZE_FIELDS = ("useful_bytes", "data_bytes", "metadata_bytes")
+_RESOURCE_FIELDS = ("bram_18k", "ff", "lut", "ff_mapped_buffer_bits")
+_POWER_FIELDS = ("logic_w", "bram_w", "signals_w", "static_w")
+
+#: Typed-record scalar fields, written and read by one schema:
+#: ``key -> (exact type, list length or None for a bare scalar)``.
+_SCALARS = {
+    "sigma": (float, None),
+    "clock_mhz": (float, None),
+    "fill_drain": (int, 2),
+    "size": (int, 3),
+    "resources": (int, 4),
+    "power": (float, 4),
+}
+
+#: The per-tile columns of one typed record share one block of this
+#: many rows, in the order memory, decompress, dot, useful, data,
+#: metadata.
+_N_COLUMNS = 6
+_COLUMN_DTYPE = "<i8"
+
+
+def _conforms(value, kind: type, count: int | None) -> bool:
+    """``value`` is exactly ``kind`` (or a list of ``count`` of them).
+
+    Exact types only: a ``bool`` is not an ``int`` and a numpy scalar
+    is not a ``float``, since JSON would not give them back.
+    """
+    if count is None:
+        return type(value) is kind
+    return (
+        type(value) is list
+        and len(value) == count
+        and all(type(item) is kind for item in value)
+    )
+
+
+def _typed_fields(
+    cell: "SweepCell", result: "CharacterizationResult"
+) -> dict | None:
+    """The typed record fields of a canonical result, else ``None``.
+
+    ``None`` whenever any value would not come back from
+    :func:`_decode_typed` exactly as it went in (type, dtype and
+    value), so the caller falls back to a pickled ``payload``.
+    """
+    if type(result) is not CharacterizationResult:
+        return None
+    pipeline, size = result.pipeline, result.size
+    resources, power = result.resources, result.power
+    if (
+        type(pipeline) is not PipelineResult
+        or type(pipeline.compute) is not ComputeColumns
+        or type(pipeline.sizes) is not SizeColumns
+        or type(size) is not SizeBreakdown
+        or type(resources) is not ResourceEstimate
+        or type(power) is not PowerBreakdown
+        or type(result.workload) is not str
+    ):
+        return None
+    # the record stores one (format, p) pair: the cell's
+    for part in (result, pipeline, resources, power):
+        if not (
+            _conforms(part.format_name, str, None)
+            and part.format_name == cell.format_name
+            and _conforms(part.partition_size, int, None)
+            and part.partition_size == cell.partition_size
+        ):
+            return None
+    fields = {
+        "sigma": result.sigma,
+        "clock_mhz": result.clock_mhz,
+        "fill_drain": [pipeline.fill_cycles, pipeline.drain_cycles],
+        "size": [getattr(size, attr) for attr in _SIZE_FIELDS],
+        "resources": [
+            getattr(resources, attr) for attr in _RESOURCE_FIELDS
+        ],
+        "power": [getattr(power, attr) for attr in _POWER_FIELDS],
+    }
+    if not all(
+        _conforms(fields[key], *spec) for key, spec in _SCALARS.items()
+    ):
+        return None
+    columns = (
+        pipeline.memory_per_partition,
+        pipeline.compute.decompress_cycles,
+        pipeline.compute.dot_cycles,
+        pipeline.sizes.useful_bytes,
+        pipeline.sizes.data_bytes,
+        pipeline.sizes.metadata_bytes,
+    )
+    shape = pipeline.memory_per_partition.shape
+    if len(shape) != 1 or not all(
+        type(column) is np.ndarray
+        and column.dtype.str == _COLUMN_DTYPE
+        and column.shape == shape
+        for column in columns
+    ):
+        return None
+    block = zlib.compress(np.concatenate(columns), 1)
+    fields["tiles"] = shape[0]
+    fields["columns"] = base64.b64encode(block).decode("ascii")
+    return fields
+
+
+def _field(record: dict, key: str, kind: type, count: int | None = None):
+    """``record[key]``, which must conform to ``(kind, count)``."""
+    value = record[key]
+    if not _conforms(value, kind, count):
+        raise CheckpointError(
+            f"typed cell record: {key!r} must be "
+            + (kind.__name__ if count is None
+               else f"a list of {count} {kind.__name__}")
+        )
+    return value
+
+
+def _decode_typed(record: dict) -> "CharacterizationResult":
+    name = _field(record, "format", str)
+    p = _field(record, "partition_size", int)
+    n = _field(record, "tiles", int)
+    scalars = {
+        key: _field(record, key, *spec) for key, spec in _SCALARS.items()
+    }
+    text = _field(record, "columns", str)
+    block = zlib.decompress(base64.b64decode(text, validate=True))
+    if n < 0 or len(block) != _N_COLUMNS * 8 * n:
+        raise CheckpointError(
+            f"typed cell record: columns block is {len(block)} bytes, "
+            f"expected {_N_COLUMNS} x 8 x {n}"
+        )
+    # one writable copy, six row views
+    memory, decompress, dot, useful, data, metadata = np.frombuffer(
+        bytearray(block), dtype=_COLUMN_DTYPE
+    ).reshape(_N_COLUMNS, n)
+    fill, drain = scalars["fill_drain"]
+    return CharacterizationResult(
+        workload=_field(record, "workload", str),
+        format_name=name,
+        partition_size=p,
+        sigma=scalars["sigma"],
+        pipeline=PipelineResult(
+            format_name=name,
+            partition_size=p,
+            memory_per_partition=memory,
+            compute=ComputeColumns(decompress, dot),
+            sizes=SizeColumns(useful, data, metadata),
+            fill_cycles=fill,
+            drain_cycles=drain,
+        ),
+        size=SizeBreakdown(*scalars["size"]),
+        clock_mhz=scalars["clock_mhz"],
+        resources=ResourceEstimate(name, p, *scalars["resources"]),
+        power=PowerBreakdown(name, p, *scalars["power"]),
+    )
+
+
+def _cell_value(record: dict) -> "CharacterizationResult":
+    """Decode one ``cell`` record, typed or ``payload``.
+
+    Strict: any malformed typed record raises :class:`CheckpointError`
+    (never another exception type), and only ``payload`` records are
+    ever unpickled.
+    """
+    if "columns" not in record:
+        if "payload" not in record:
+            raise CheckpointError("cell record missing 'payload'")
+        return _decode_payload(record["payload"])
+    try:
+        return _decode_typed(record)
+    except CheckpointError:
+        raise
+    except (
+        KeyError, TypeError, ValueError, zlib.error, CopernicusError
+    ) as error:
+        raise CheckpointError(
+            f"malformed typed cell record: "
             f"{type(error).__name__}: {error}"
         ) from error
 
@@ -195,8 +437,11 @@ class CheckpointWriter:
         wall_s: float = 0.0,
         cache_key: str = "",
     ) -> None:
-        """Append one completed cell (called as each cell finishes)."""
-        self._append({
+        """Append one completed cell (called as each cell finishes).
+
+        Typed when the result is canonical, ``payload`` otherwise.
+        """
+        record = {
             "type": "cell",
             "digest": digest,
             "workload": result.workload,
@@ -204,8 +449,13 @@ class CheckpointWriter:
             "partition_size": cell.partition_size,
             "wall_s": wall_s,
             "cache_key": cache_key,
-            "payload": _encode_payload(result),
-        })
+        }
+        typed = _typed_fields(cell, result)
+        if typed is None:
+            record["payload"] = _encode_payload(result)
+        else:
+            record.update(typed)
+        self._append(record)
 
     def record_encoding(self, summary: "EncodeSummary") -> None:
         """Append one (workload, format) encode summary."""
@@ -321,14 +571,13 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         if kind == "cell":
             try:
                 digest = record["digest"]
-                payload = record["payload"]
             except KeyError as error:
                 raise CheckpointError(
                     f"{path}:{lineno + 1}: cell record missing "
                     f"{error}"
                 ) from None
             state.results[digest] = (
-                _decode_payload(payload),
+                _cell_value(record),
                 float(record.get("wall_s", 0.0)),
                 str(record.get("cache_key", "")),
             )
@@ -429,7 +678,7 @@ def checkpoint_digest(path: str | Path) -> str:
         kind = record.get("type")
         if kind == "cell":
             digest = record.get("digest", "")
-            cells[digest] = record.get("payload", "")
+            cells[digest] = record
             failures.pop(digest, None)
         elif kind == "encoding":
             encodings[
@@ -440,11 +689,17 @@ def checkpoint_digest(path: str | Path) -> str:
                 "payload", ""
             )
     hasher = hashlib.blake2b(digest_size=16)
-    for group in (cells, encodings, failures):
+    for group, decode in (
+        (cells, _cell_value),
+        (encodings, _decode_payload),
+        (failures, _decode_payload),
+    ):
         hasher.update(b"records:%d;" % len(group))
-        for key, text in sorted(group.items()):
-            # one payload decoded at a time keeps memory flat
-            _hash_value(hasher.update, (key, _decode_payload(text)))
+        for key, stored in sorted(
+            group.items(), key=lambda item: item[0]
+        ):
+            # one record decoded at a time keeps memory flat
+            _hash_value(hasher.update, (key, decode(stored)))
     return hasher.hexdigest()
 
 

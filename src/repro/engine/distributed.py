@@ -67,7 +67,7 @@ from .. import io_atomic
 from ..errors import QueueError, SweepCellError
 from ..workloads.registry import Workload
 from .cache import CacheStats, ContentKeyedCache, matrix_content_key
-from .checkpoint import CheckpointWriter, cell_digest, load_checkpoint
+from .checkpoint import CheckpointWriter, cell_digests, load_checkpoint
 from .executors import (
     CheckpointSink,
     ExecutionSettings,
@@ -863,7 +863,7 @@ class QueueExecutor(SweepExecutor):
         identical to what a sequential run derives; the shipped cells
         reference the blob store instead of carrying matrices.
         """
-        digests = [cell_digest(cell) for _index, cell in chunk]
+        digests = cell_digests([cell for _index, cell in chunk])
         shipped: _Chunk = []
         for index, cell in chunk:
             workload = cell.workload

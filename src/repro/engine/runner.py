@@ -63,7 +63,7 @@ from .cache import CacheStats
 from .checkpoint import (
     CheckpointState,
     CheckpointWriter,
-    cell_digest,
+    cell_digests,
     load_checkpoint,
 )
 from .executors import (
@@ -316,7 +316,7 @@ class SweepRunner:
         replay_encodings: dict[tuple[str, str], EncodeSummary] = {}
         writer: CheckpointWriter | None = None
         if self.checkpoint is not None:
-            digests = [cell_digest(cell) for cell in cells]
+            digests = cell_digests(cells)
             if self.resume:
                 state = self._load_resume_state()
                 for index, digest in enumerate(digests):

@@ -9,6 +9,7 @@ telemetry digest, and the executed-vs-replayed counters.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pickle
 import shutil
@@ -24,12 +25,15 @@ from repro.engine import (
     WorkloadSpec,
     build_grid,
     cell_digest,
+    cell_digests,
     load_checkpoint,
 )
 from repro.engine.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA,
+    _cell_value,
     _encode_payload,
+    _hash_value,
     checkpoint_digest,
     checkpoint_summary,
 )
@@ -70,6 +74,19 @@ class TestCellDigest:
         grid = build_grid(SPECS, FORMATS, PARTITIONS)
         digests = {cell_digest(c) for c in grid}
         assert len(digests) == len(grid)
+
+    def test_batch_digests_equal_one_at_a_time(self):
+        from repro.hardware import HardwareConfig
+
+        materialized = SPECS[0].build()
+        grid = build_grid(
+            (*SPECS, materialized), FORMATS, PARTITIONS
+        ) + build_grid(
+            (materialized, SPECS[1]), FORMATS, (16,),
+            base_config=HardwareConfig(clock_mhz=150.0),
+        )
+        assert cell_digests(grid) == [cell_digest(c) for c in grid]
+        assert cell_digests([]) == []
 
     def test_digest_sees_the_hardware_config(self):
         from repro.hardware import HardwareConfig
@@ -294,6 +311,189 @@ class TestValueDigest:
         path = tmp_path / "ck.jsonl"
         with pytest.raises(CheckpointError, match="checkpoint payload"):
             digest_of(path, with_field(FAILURE, "message", message))
+
+
+# ----------------------------------------------------------------------
+# Typed cell records: the codec table
+# ----------------------------------------------------------------------
+def value_digest(obj) -> str:
+    hasher = hashlib.blake2b(digest_size=16)
+    _hash_value(hasher.update, obj)
+    return hasher.hexdigest()
+
+
+def cell_records(path) -> list[dict]:
+    return [
+        record
+        for record in map(json.loads, path.read_text().splitlines())
+        if record["type"] == "cell"
+    ]
+
+
+def as_payload(record: dict, value) -> dict:
+    """``record`` rewritten as the pickled ``payload`` form."""
+    twin = {
+        key: record[key]
+        for key in (
+            "type", "digest", "workload", "format", "partition_size",
+            "wall_s", "cache_key",
+        )
+    }
+    twin["payload"] = _encode_payload(value)
+    return twin
+
+
+def write_records(path, records) -> None:
+    header = {
+        "type": "header", "kind": CHECKPOINT_KIND,
+        "schema": CHECKPOINT_SCHEMA,
+    }
+    path.write_text(
+        "".join(json.dumps(r) + "\n" for r in [header, *records])
+    )
+
+
+@pytest.fixture(scope="module")
+def scaling_checkpoint(tmp_path_factory):
+    """The scaling grid at p in {8, 16, 32}: cells, results, file."""
+    path = tmp_path_factory.mktemp("typed") / "ck.jsonl"
+    cells = build_grid(scaling_specs(), list(PAPER_FORMATS), (8, 16, 32))
+    outcome = SweepRunner(
+        backend="inline", error_policy="fail_fast", checkpoint=path
+    ).run_grid(
+        scaling_specs(), list(PAPER_FORMATS), partition_sizes=(8, 16, 32)
+    )
+    return cells, outcome.results, path
+
+
+#: Results that must fall back to ``payload``: a typed record would
+#: not give the same value back.
+FALLBACKS = {
+    "numpy-float-sigma": ("sigma", lambda r: np.float64(r.sigma)),
+    "int32-column": (
+        "pipeline.sizes.data_bytes",
+        lambda r: r.pipeline.sizes.data_bytes.astype(np.int32),
+    ),
+    "bool-in-int-field": ("resources.ff_mapped_buffer_bits", lambda r: False),
+}
+
+#: Malformed typed records: ``record -> None`` (mutating in place).
+HOSTILE = {
+    "block-length": lambda r: r.update(tiles=r["tiles"] + 1),
+    "bad-base64": lambda r: r.update(columns="!!" + r["columns"]),
+    "not-zlib": lambda r: r.update(columns="AAAA"),
+    "missing-field": lambda r: r.pop("power"),
+    "non-list-size": lambda r: r.update(size=sum(r["size"])),
+    "string-in-numeric": lambda r: r.update(sigma=str(r["sigma"])),
+    "bool-tiles": lambda r: r.update(tiles=True),
+    "negative-bytes": lambda r: r.update(size=[-1, 0, 0]),
+}
+
+
+class TestTypedCells:
+    def test_canonical_results_are_typed_and_exact(
+        self, scaling_checkpoint, tmp_path
+    ):
+        cells, results, path = scaling_checkpoint
+        records = cell_records(path)
+        assert len(records) == len(results) == 192
+        state = load_checkpoint(path)
+        twins = []
+        for cell, result, record in zip(cells, results, records):
+            assert "columns" in record and "payload" not in record
+            stored = state.result_for(cell_digest(cell))[0]
+            assert stored == result
+            twins.append(as_payload(record, result))
+            assert value_digest(stored) == value_digest(
+                _cell_value(twins[-1])
+            )
+        twin = tmp_path / "twin.jsonl"
+        write_records(twin, twins)
+        assert checkpoint_digest(twin) == checkpoint_digest(path)
+
+    def test_typed_columns_are_writable_int64(self, scaling_checkpoint):
+        _cells, _results, path = scaling_checkpoint
+        result = _cell_value(cell_records(path)[0])
+        memory = result.pipeline.memory_per_partition
+        assert memory.dtype.str == "<i8" and memory.flags.writeable
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_non_canonical_results_fall_back_to_payload(
+        self, case, scaling_checkpoint, tmp_path
+    ):
+        cells, results, _path = scaling_checkpoint
+        attribute, change = FALLBACKS[case]
+        variant = with_field(results[0], attribute, change(results[0]))
+        path = tmp_path / "ck.jsonl"
+        with CheckpointWriter(path) as writer:
+            writer.record_result("d" * 32, cells[0], variant)
+        (record,) = cell_records(path)
+        assert "payload" in record and "columns" not in record
+        assert value_digest(_cell_value(record)) == value_digest(variant)
+        assert value_digest(variant) != value_digest(results[0])
+
+    def test_cell_mismatch_falls_back_to_payload(
+        self, scaling_checkpoint, tmp_path
+    ):
+        cells, results, _path = scaling_checkpoint
+        path = tmp_path / "ck.jsonl"
+        with CheckpointWriter(path) as writer:
+            writer.record_result("d" * 32, cells[1], results[0])
+        (record,) = cell_records(path)
+        assert "payload" in record
+        assert _cell_value(record) == results[0]
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_typed_records_raise_checkpoint_error(
+        self, case, scaling_checkpoint, tmp_path, monkeypatch
+    ):
+        _cells, _results, path = scaling_checkpoint
+        record = cell_records(path)[5]
+        HOSTILE[case](record)
+        unpickled = []
+        monkeypatch.setattr(pickle, "loads", unpickled.append)
+        with pytest.raises(CheckpointError):
+            _cell_value(record)
+        bad = tmp_path / "bad.jsonl"
+        write_records(bad, [record])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+        with pytest.raises(CheckpointError):
+            checkpoint_digest(bad)
+        assert unpickled == []
+
+    def test_block_length_must_match_tiles(self, scaling_checkpoint):
+        _cells, _results, path = scaling_checkpoint
+        record = cell_records(path)[5]
+        record["tiles"] -= 1
+        with pytest.raises(CheckpointError, match="expected 6 x 8 x"):
+            _cell_value(record)
+
+    def test_typed_fields_cover_every_dataclass_field(self):
+        from repro.core.results import CharacterizationResult
+        from repro.engine import checkpoint
+        from repro.formats.base import SizeBreakdown
+        from repro.hardware.pipeline import PipelineResult
+        from repro.hardware.power import PowerBreakdown
+        from repro.hardware.resources import ResourceEstimate
+
+        def names(kind):
+            return tuple(f.name for f in dataclasses.fields(kind))
+
+        coords = ("format_name", "partition_size")
+        assert names(SizeBreakdown) == checkpoint._SIZE_FIELDS
+        assert names(ResourceEstimate) == (
+            coords + checkpoint._RESOURCE_FIELDS
+        )
+        assert names(PowerBreakdown) == coords + checkpoint._POWER_FIELDS
+        assert names(PipelineResult) == coords + (
+            "memory_per_partition", "compute", "sizes",
+            "fill_cycles", "drain_cycles",
+        )
+        assert names(CharacterizationResult) == (
+            "workload", *coords, "sigma", "pipeline", "size",
+            "clock_mhz", "resources", "power",
+        )
 
 
 #: ``checkpoint_digest`` of the scaling grid in BENCH_distributed.json.

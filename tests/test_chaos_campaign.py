@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+from repro import chaos
 from repro.chaos import (
     SUITE,
     _stable_message,
@@ -176,6 +177,42 @@ class TestGates:
             "summary": {"n_violations": 0, "uncaught_failures": 0},
         }
         check_gates(evaluate(clean, SUITE.gates))
+
+    def test_uncaught_exception_is_recorded_and_fails_the_gate(
+        self, monkeypatch, tmp_path
+    ):
+        def schedule(index, rng, workdir, reference, n_cells, workers):
+            if index == 1:
+                raise RuntimeError(f"bug at {workdir}/queue-1")
+            return {
+                "index": index, "kind": "queue", "plan": "crash@merge",
+                "fault_kinds": ["crash"], "crashed": None,
+                "recovered_digest": reference, "violations": [],
+            }
+
+        monkeypatch.setattr(
+            chaos, "_reference_digest", lambda root: ("ref", 8)
+        )
+        monkeypatch.setattr(chaos, "_run_queue_schedule", schedule)
+        report = SUITE.run(seed=3, n_schedules=3, workdir=str(tmp_path))
+        # the campaign kept going past the failing schedule
+        assert [s["index"] for s in report["schedules"]] == [0, 1, 2]
+        failed = report["schedules"][1]
+        plan = random_plan(Random(3 * 10007 + 1)).describe()
+        assert failed["uncaught"] == "RuntimeError: bug at <workdir>/queue-1"
+        assert (failed["kind"], failed["plan"]) == ("queue", plan)
+        summary = report["summary"]
+        assert summary["uncaught_failures"] == 1
+        assert summary["n_violations"] == 0
+        assert summary["n_recovered"] == 2
+        assert summary["recoveries_by_fault_kind"] == {"crash": 2}
+        assert report["n_gates_failed"] == 1
+        assert (
+            f"schedule 1 ({plan}): uncaught RuntimeError: bug at "
+            "<workdir>/queue-1"
+        ) in chaos._describe(report)
+        with pytest.raises(BenchGateError, match="zero_uncaught = 1"):
+            check_gates(report)
 
     def test_no_quick_mode(self):
         # --quick runs the full 20 schedules with both gates

@@ -104,6 +104,28 @@ class TestCheckpointAudit:
             checkpoint_digest(path) == finished_queue["digest"]
         )
 
+    def test_truncated_typed_columns_are_dropped_on_repair(
+        self, finished_queue, tmp_path
+    ):
+        path = tmp_path / "typed.jsonl"
+        shutil.copy(finished_queue["checkpoint"], path)
+        typed = next(
+            json.loads(line)
+            for line in path.read_text().splitlines()
+            if "columns" in json.loads(line)
+        )
+        # base64 of a zlib stream cut short: valid armor, short block
+        typed["columns"] = typed["columns"][:8]
+        with open(path, "a") as stream:
+            stream.write(json.dumps(typed) + "\n")
+        report = diagnose_checkpoint(path, repair=True)
+        assert _kinds(report) == {"bad-record"}
+        assert report["n_repaired"] == report["n_findings"] == 1
+        assert diagnose_checkpoint(path)["clean"]
+        assert (
+            checkpoint_digest(path) == finished_queue["digest"]
+        )
+
     def test_stray_temp_sibling_is_swept(
         self, finished_queue, tmp_path
     ):
