@@ -29,13 +29,9 @@ Everything the library computes is reachable from the shell::
     python -m repro stats run.jsonl --against baseline.jsonl
     python -m repro integrity --random 64 --density 0.08 --injections 50
     python -m repro advise --standin KR
-    python -m repro advisor train --out advisor_model.json
-    python -m repro advisor train --from-manifest run.jsonl
-    python -m repro bench advisor --model advisor_model.json
-    python -m repro advise --random 512 --density 0.02 --fast \
-        --model advisor_model.json
+    python -m repro advise --random 2048 --density 0.01 --fast
+    python -m repro bench advisor
     python -m repro serve --port 8787 --budget-s 5
-    python -m repro serve --port 8787 --fast-model advisor_model.json
     python -m repro serve --port 8787 --metrics-snapshot final.json
     python -m repro serve --port 8787 --shed-p99-ms 250
     python -m repro loadgen --port 8787 --mix hot --requests 200
@@ -527,8 +523,8 @@ def _cmd_pareto(args: argparse.Namespace) -> str:
 
 def _bench_suites() -> tuple:
     """The ``repro bench`` suites, each declared as data."""
-    from .advisor.bench import SUITE as advisor
     from .bench import SUITE as pipeline
+    from .bench_advisor import SUITE as advisor
     from .bench_distributed import SUITE as distributed
     from .chaos import SUITE as chaos
     from .guard.campaign import SUITE as guard
@@ -590,162 +586,51 @@ def _cmd_advise(args: argparse.Namespace) -> str:
 
 
 def _cmd_advise_fast(args: argparse.Namespace) -> str:
-    from pathlib import Path
+    from .core.recommend import (
+        SAMPLE_BAND_ROWS,
+        SAMPLE_FLOOR_BANDS,
+        SAMPLE_OFFSET,
+        recommend,
+    )
 
-    from .advisor import load_model, recommend_fast
-    from .errors import AdvisorModelError
-
-    # fail with a per-argument message before load_model's generic
-    # one: the fix (train a model, or fix the path) is specific to
-    # this flag
-    if not Path(args.model).is_file():
-        raise AdvisorModelError(
-            f"--model not found: {args.model} (train one with "
-            "`repro advisor train --out PATH`)"
-        )
-    model = load_model(args.model)
     name, matrix = _build_workload(args)
-    advice = recommend_fast(
-        matrix, model, margin_threshold=args.margin, verify=True
+    advice = recommend(
+        matrix, formats=PAPER_FORMATS, partition_sizes=PARTITION_SIZES,
+        fast=True,
     )
     rows = [
-        [index + 1, candidate.format_name, candidate.partition_size,
-         round(candidate.value)]
-        for index, candidate in enumerate(advice.ranking)
+        [index + 1, result.format_name, result.partition_size,
+         advice.cycles(result)]
+        for index, result in enumerate(advice.ranking())
     ]
+    k = advice.sample_every
     table = format_table(
-        ["rank", "format", "p", "predicted cycles"],
+        ["rank", "format", "p", "cycles" if k == 1 else "est. cycles"],
         rows,
-        title=f"Fast format advice for {name} (1 = best)",
+        title=f"Latency advice for {name} (1 = best)",
     )
-    if advice.verified:
+    if k == 1:
         provenance = (
-            "margin below threshold; the exact model verified the "
-            "answer"
+            f"exact: every row characterized (sampling needs >= "
+            f"{SAMPLE_FLOOR_BANDS * SAMPLE_BAND_ROWS} rows)"
         )
     else:
-        provenance = "predicted (margin cleared the threshold)"
+        provenance = (
+            f"sampled: every {k}th band of {SAMPLE_BAND_ROWS} rows "
+            f"from band {SAMPLE_OFFSET}; est. cycles = "
+            f"{k} x steady + fill + drain"
+        )
     return table + (
-        f"\n\nrecommended: {advice.best_format} at "
-        f"p={advice.best_partition_size}"
-        f"\nmargin: {advice.margin:.4f} "
-        f"(threshold {advice.margin_threshold:g}) — {provenance}"
-        f"\nmodel: {advice.model_digest}"
+        f"\n\nrecommended: {advice.format_name} at "
+        f"p={advice.partition_size}\n{provenance}"
     )
-
-
-def _cmd_advisor_train(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
-    from .advisor import (
-        rows_from_manifest,
-        rows_from_outcome,
-        save_model,
-        split_holdout,
-        train_model,
-        workload_zoo,
-    )
-    from .errors import AdvisorError
-
-    zoo = workload_zoo(args.zoo_seed)
-    train_specs, heldout = split_holdout(
-        zoo, args.holdout, args.split_seed
-    )
-    formats = (
-        tuple(args.formats) if args.formats else PAPER_FORMATS
-    )
-    partitions = tuple(args.partitions)
-    lines: list[str] = []
-    if args.from_manifest:
-        hint = (
-            "pass a JSON-lines manifest written by `repro advisor "
-            "train --emit-manifest PATH` or `repro sweep "
-            "--emit-metrics PATH`"
-        )
-        for path in args.from_manifest:
-            if not Path(path).is_file():
-                raise AdvisorError(
-                    f"--from-manifest not found: {path} ({hint})"
-                )
-        rows = []
-        for path in args.from_manifest:
-            found, skipped = rows_from_manifest(path, train_specs)
-            rows.extend(found)
-            lines.append(
-                f"{path}: {len(found)} training rows"
-                + (
-                    f", {len(skipped)} foreign workloads skipped"
-                    if skipped
-                    else ""
-                )
-            )
-    else:
-        runner = SweepRunner(
-            max_workers=args.workers,
-            telemetry=args.emit_manifest is not None,
-            error_policy="fail_fast",
-        )
-        outcome = runner.run_grid(
-            list(train_specs), formats, partition_sizes=partitions
-        )
-        rows = rows_from_outcome(outcome, train_specs)
-        lines.append(
-            f"swept {len(train_specs)} workloads x {len(formats)} "
-            f"formats x {len(partitions)} partition sizes: "
-            f"{len(rows)} training rows"
-        )
-        if args.emit_manifest is not None:
-            path = outcome.write_manifest(args.emit_manifest)
-            lines.append(f"training manifest written to {path}")
-    model = train_model(
-        train_specs,
-        rows,
-        feature_p=args.feature_p,
-        ridge_lambda=args.ridge_lambda,
-        # no row-provenance field here: a model trained from a sweep
-        # and one trained from that sweep's manifest must be
-        # byte-identical (data_digest already pins the observations)
-        training={
-            "zoo_seed": args.zoo_seed,
-            "split_seed": args.split_seed,
-            "holdout_fraction": args.holdout,
-            "formats": sorted(formats),
-            "partitions": sorted(partitions),
-        },
-    )
-    out = save_model(model, args.out)
-    lines.append(
-        f"trained {len(model.heads)} heads on "
-        f"{model.training['n_workloads']} workloads "
-        f"({len(heldout)} held out)"
-    )
-    lines.append(f"model digest: {model.digest}")
-    lines.append(f"advisor model written to {out}")
-    return "\n".join(lines)
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
     import asyncio
-    from pathlib import Path
-
-    from .serve import CharacterizationServer
-
-    advisor_model = None
-    if args.fast_model is not None:
-        from .advisor import load_model
-        from .errors import AdvisorModelError
-
-        # load eagerly so a missing or corrupt artifact fails the boot
-        # with a per-argument message instead of silently serving the
-        # exact path only
-        if not Path(args.fast_model).is_file():
-            raise AdvisorModelError(
-                f"--fast-model not found: {args.fast_model} (train "
-                "one with `repro advisor train --out PATH`)"
-            )
-        advisor_model = load_model(args.fast_model)
 
     from .guard import GuardPolicy, SandboxLimits
+    from .serve import CharacterizationServer
 
     guard_policy = GuardPolicy(
         breaker_threshold=args.breaker_threshold,
@@ -769,8 +654,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             cache_size=args.cache_size,
             max_dim=args.max_dim,
             faults=args.inject_faults,
-            advisor_model=advisor_model,
-            advisor_margin=args.fast_margin,
             guard_policy=guard_policy,
             sandbox_limits=sandbox_limits,
         )
@@ -1296,87 +1179,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(advise)
     advise.add_argument(
         "--fast", action="store_true",
-        help="answer from the learned advisor (O(features)) instead "
-        "of simulating every design point; requires --model",
-    )
-    advise.add_argument(
-        "--model", metavar="PATH", default=None,
-        help="advisor_model/v1 artifact for --fast "
-        "(train one with `repro advisor train`)",
-    )
-    advise.add_argument(
-        "--margin", type=float, default=0.05,
-        help="confidence threshold for --fast: predictions whose "
-        "best-vs-runner-up gap falls below it are re-checked by the "
-        "exact model (default 0.05)",
+        help="rank (format, p) by latency from a band sample of the "
+        "matrix (every 8th band of 32 rows) through the exact model; "
+        "matrices under 2048 rows run exact",
     )
     advise.set_defaults(handler=_cmd_advise)
-
-    advisor = commands.add_parser(
-        "advisor",
-        help="train the learned fast-path advisor",
-    )
-    advisor_commands = advisor.add_subparsers(
-        dest="advisor_command", required=True
-    )
-    advisor_train = advisor_commands.add_parser(
-        "train",
-        help="fit the advisor on the workload zoo (or sweep manifests)",
-    )
-    advisor_train.add_argument(
-        "--from-manifest", action="append", metavar="PATH",
-        default=None,
-        help="train from JSON-lines run manifest(s) joined to the zoo "
-        "by recipe digest (repeatable; default: sweep in-process)",
-    )
-    advisor_train.add_argument(
-        "--out", metavar="PATH", default="advisor_model.json",
-        help="artifact path (default advisor_model.json)",
-    )
-    advisor_train.add_argument(
-        "--zoo-seed", type=int, default=0,
-        help="workload-zoo seed (default 0)",
-    )
-    advisor_train.add_argument(
-        "--holdout", type=float, default=0.25,
-        help="held-out workload fraction, never trained on "
-        "(default 0.25)",
-    )
-    advisor_train.add_argument(
-        "--split-seed", type=int, default=0,
-        help="train/held-out split seed (default 0)",
-    )
-    advisor_train.add_argument(
-        "--workers", type=int, default=1,
-        help="sweep worker processes (default 1; the artifact is "
-        "byte-identical for any worker count)",
-    )
-    advisor_train.add_argument(
-        "--formats", nargs="+", default=None,
-        choices=sorted(ALL_FORMATS),
-        help="formats to train heads for (default: the eight paper "
-        "formats)",
-    )
-    advisor_train.add_argument(
-        "--partitions", type=int, nargs="+",
-        default=list(PARTITION_SIZES),
-        help="partition sizes to train heads for (default: 8 16 32)",
-    )
-    advisor_train.add_argument(
-        "--feature-p", type=int, default=16,
-        help="partition size the feature extractor profiles at "
-        "(default 16)",
-    )
-    advisor_train.add_argument(
-        "--ridge-lambda", type=float, default=0.3,
-        help="ridge regularization strength (default 0.3)",
-    )
-    advisor_train.add_argument(
-        "--emit-manifest", metavar="PATH", default=None,
-        help="also write the training sweep's run manifest to PATH "
-        "(feed it back with --from-manifest to reproduce the model)",
-    )
-    advisor_train.set_defaults(handler=_cmd_advisor_train)
 
     serve = commands.add_parser(
         "serve",
@@ -1418,16 +1225,6 @@ def build_parser() -> argparse.ArgumentParser:
         # robustness testing only (see repro.engine.faults)
         "--inject-faults", metavar="SPECS", default=None,
         help=argparse.SUPPRESS,
-    )
-    serve.add_argument(
-        "--fast-model", metavar="PATH", default=None,
-        help="advisor_model/v1 artifact: answer confident /advise "
-        "queries from the learned fast path without simulating",
-    )
-    serve.add_argument(
-        "--fast-margin", type=float, default=0.05,
-        help="margin below which a fast prediction is not trusted "
-        "and the exact path answers (default 0.05)",
     )
     serve.add_argument(
         "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
@@ -1700,11 +1497,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--out requires --compact")
         if args.digest and args.compact:
             parser.error("--digest and --compact are exclusive")
-    if args.command == "advise":
-        if args.fast and args.model is None:
-            parser.error("--fast requires --model PATH")
-        if args.model is not None and not args.fast:
-            parser.error("--model requires --fast")
     try:
         print(args.handler(args))
     except SweepCellError as error:

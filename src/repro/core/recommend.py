@@ -6,14 +6,19 @@ tuned ... to optimize for a particular metric" (Section 1).  This module
 turns the characterization results into that decision procedure: pick
 the best (format, partition size) pair for a chosen objective, subject
 to the resource and power budgets of a target device.
+
+``recommend(..., fast=True)`` answers the same question from a band
+sample of the matrix, run through the same exact model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..errors import SimulationError
+import numpy as np
+
+from ..errors import ShapeError, SimulationError
 from ..hardware.config import DEFAULT_CONFIG, HardwareConfig
 from ..matrix import SparseMatrix
 from ..partition import PARTITION_SIZES
@@ -25,11 +30,13 @@ __all__ = [
     "Objective",
     "Constraints",
     "Recommendation",
-    "PredictedCandidate",
-    "PredictedRecommendation",
+    "SAMPLE_BAND_ROWS",
+    "SAMPLE_EVERY",
+    "SAMPLE_FLOOR_BANDS",
+    "SAMPLE_OFFSET",
+    "band_sample",
     "recommend",
     "recommend_from_results",
-    "rank_predictions",
 ]
 
 #: Result attribute and direction per objective name.
@@ -84,35 +91,30 @@ class Constraints:
     max_dynamic_power_w: float = float("inf")
 
     def admits(self, result: CharacterizationResult) -> bool:
-        return self.admits_static(
-            result.resources, result.dynamic_power_w
-        )
-
-    def admits_static(self, resources, dynamic_power_w: float) -> bool:
-        """Constraint check from resources/power alone.
-
-        Resources and power are workload-independent, so the learned
-        fast path can apply the *exact* constraint filter to predicted
-        candidates without running a single simulation.  ``resources``
-        may be ``None`` to skip the fabric budgets.
-        """
-        if resources is not None and not (
+        resources = result.resources
+        return (
             resources.bram_18k <= self.max_bram_18k
             and resources.ff <= self.max_ff
             and resources.lut <= self.max_lut
-        ):
-            return False
-        return dynamic_power_w <= self.max_dynamic_power_w
+            and result.dynamic_power_w <= self.max_dynamic_power_w
+        )
 
 
 @dataclass(frozen=True)
 class Recommendation:
-    """The chosen design point plus every evaluated alternative."""
+    """The chosen design point plus every evaluated alternative.
+
+    ``sample_every`` is 1 when every row of the matrix was
+    characterized.  A band-sampled answer (``recommend(fast=True)``)
+    carries :data:`SAMPLE_EVERY`: its candidates then describe the
+    sampled sub-matrix, and :meth:`cycles` scales them to the whole.
+    """
 
     best: CharacterizationResult
     objective: Objective
     candidates: tuple[CharacterizationResult, ...]
     rejected: tuple[CharacterizationResult, ...]
+    sample_every: int = 1
 
     @property
     def format_name(self) -> str:
@@ -130,96 +132,62 @@ class Recommendation:
             reverse=_OBJECTIVES[self.objective.name][1],
         )
 
+    def cycles(self, result: CharacterizationResult) -> int:
+        """Whole-matrix latency of ``result`` in cycles.
 
-@dataclass(frozen=True)
-class PredictedCandidate:
-    """One design point scored by a predictor instead of simulation.
-
-    ``value`` is the predicted objective value (cycles for the latency
-    objective); ``resources`` / ``dynamic_power_w`` carry the *exact*
-    workload-independent estimates so constraint filtering stays
-    exact even on the fast path.
-    """
-
-    format_name: str
-    partition_size: int
-    value: float
-    resources: object = None
-    dynamic_power_w: float = 0.0
-
-
-@dataclass(frozen=True)
-class PredictedRecommendation:
-    """A predicted ranking plus the margin the verifier gates on."""
-
-    objective: Objective
-    ranking: tuple[PredictedCandidate, ...]
-    rejected: tuple[PredictedCandidate, ...]
-
-    @property
-    def best(self) -> PredictedCandidate:
-        return self.ranking[0]
-
-    @property
-    def format_name(self) -> str:
-        return self.best.format_name
-
-    @property
-    def partition_size(self) -> int:
-        return self.best.partition_size
-
-    @property
-    def margin(self) -> float:
-        """Relative gap between the predicted best and the runner-up.
-
-        The fast path's confidence signal: a small margin means the
-        top two design points are predicted too close to call, and the
-        caller should fall back to the exact model.  Infinite when
-        there is no runner-up.
+        The steady-state sum over tiles scales by ``sample_every``;
+        pipeline fill and drain happen once.  Exact when
+        ``sample_every`` is 1.
         """
-        if len(self.ranking) < 2:
-            return float("inf")
-        first = self.ranking[0].value
-        second = self.ranking[1].value
-        return abs(second - first) / max(abs(first), 1e-12)
+        pipeline = result.pipeline
+        edges = pipeline.fill_cycles + pipeline.drain_cycles
+        return self.sample_every * (result.total_cycles - edges) + edges
 
 
-def rank_predictions(
-    candidates: Sequence[PredictedCandidate],
-    objective: str = "latency",
-    constraints: Constraints | None = None,
-) -> PredictedRecommendation:
-    """Rank predicted design points under the exact constraint filter.
+#: Rows per sampled band.  A multiple of every paper partition size,
+#: so each kept tile is whole and its profile exact.
+SAMPLE_BAND_ROWS = 32
+#: ``recommend(fast=True)`` keeps every ``SAMPLE_EVERY``-th band...
+SAMPLE_EVERY = 8
+#: ...starting at this band.  Band 0 is where R-MAT generators put
+#: their hubs, so an offset of 0 would over-weight them.
+SAMPLE_OFFSET = 4
+#: Matrices with fewer bands than this are characterized exactly.
+SAMPLE_FLOOR_BANDS = 64
 
-    The prediction-side counterpart of :func:`recommend_from_results`:
-    same objective directions, same constraint semantics, same
-    no-feasible-candidate failure.
+
+def band_sample(matrix: SparseMatrix) -> SparseMatrix:
+    """Every :data:`SAMPLE_EVERY`-th band of :data:`SAMPLE_BAND_ROWS`
+    rows, from band :data:`SAMPLE_OFFSET`, renumbered into one
+    ``(kept * SAMPLE_BAND_ROWS, n_cols)`` sub-matrix.
+
+    Kept bands stay in order and keep their row offsets within the
+    band, so every tile of a partition size dividing the band is
+    profiled exactly as in ``matrix``.
     """
-    goal = Objective(objective)
-    budget = constraints or Constraints()
-    feasible: list[PredictedCandidate] = []
-    rejected: list[PredictedCandidate] = []
-    for candidate in candidates:
-        if budget.admits_static(
-            candidate.resources, candidate.dynamic_power_w
-        ):
-            feasible.append(candidate)
-        else:
-            rejected.append(candidate)
-    if not feasible:
-        raise SimulationError(
-            "no (format, partition) combination satisfies the "
-            "constraints; relax the budgets or widen the search"
-        )
-    ranking = sorted(
-        feasible,
-        key=lambda c: c.value,
-        reverse=_OBJECTIVES[goal.name][1],
+    n_bands = -(-matrix.n_rows // SAMPLE_BAND_ROWS)
+    starts = (
+        np.arange(SAMPLE_OFFSET, n_bands, SAMPLE_EVERY) * SAMPLE_BAND_ROWS
     )
-    return PredictedRecommendation(
-        objective=goal,
-        ranking=tuple(ranking),
-        rejected=tuple(rejected),
+    if not starts.size:
+        raise ShapeError(
+            f"a {matrix.n_rows}-row matrix has no band {SAMPLE_OFFSET} "
+            f"of {SAMPLE_BAND_ROWS} rows to sample"
+        )
+    # canonical entries are row-major, so each band is one slice
+    bounds = np.searchsorted(
+        matrix.rows, np.stack([starts, starts + SAMPLE_BAND_ROWS])
+    )
+    keep = [slice(lo, hi) for lo, hi in bounds.T.tolist()]
+    shift = np.repeat(
+        starts - np.arange(starts.size) * SAMPLE_BAND_ROWS,
+        bounds[1] - bounds[0],
+    )
+    return SparseMatrix(
+        (starts.size * SAMPLE_BAND_ROWS, matrix.n_cols),
+        np.concatenate([matrix.rows[k] for k in keep]) - shift,
+        np.concatenate([matrix.cols[k] for k in keep]),
+        np.concatenate([matrix.vals[k] for k in keep]),
     )
 
 
@@ -232,13 +200,30 @@ def recommend(
     partition_sizes: Sequence[int] = PARTITION_SIZES,
     constraints: Constraints | None = None,
     base_config: HardwareConfig = DEFAULT_CONFIG,
+    fast: bool = False,
 ) -> Recommendation:
     """Pick the best (format, partition size) for ``matrix``.
 
     Every combination is characterized on the hardware model; designs
     violating ``constraints`` are excluded, and the survivor optimizing
     ``objective`` wins.
+
+    With ``fast``, a matrix of at least :data:`SAMPLE_FLOOR_BANDS`
+    bands is characterized on its :func:`band_sample` instead, when
+    every partition size divides the band.  The model's latency is a
+    sum of per-tile terms plus fill and drain, so whole kept tiles
+    estimate each candidate's total without bias.  Any other matrix
+    runs exact; ``sample_every`` on the answer says which ran.
     """
+    sample_every = 1
+    if (
+        fast
+        and matrix.n_rows >= SAMPLE_FLOOR_BANDS * SAMPLE_BAND_ROWS
+        and all(SAMPLE_BAND_ROWS % p == 0 for p in partition_sizes)
+    ):
+        sample = band_sample(matrix)
+        if sample.nnz:
+            matrix, sample_every = sample, SAMPLE_EVERY
     results: list[CharacterizationResult] = []
     for p in partition_sizes:
         simulator = SpmvSimulator(base_config.with_partition_size(p))
@@ -247,7 +232,12 @@ def recommend(
             results.append(
                 simulator.run_format(name, table, workload="")
             )
-    return recommend_from_results(results, objective, constraints)
+    recommendation = recommend_from_results(
+        results, objective, constraints
+    )
+    if sample_every == 1:
+        return recommendation
+    return replace(recommendation, sample_every=sample_every)
 
 
 def recommend_from_results(

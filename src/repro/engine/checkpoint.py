@@ -769,10 +769,12 @@ def compact_checkpoint(
     :func:`checkpoint_digest` is invariant under compaction.
     """
     path = Path(path)
-    before = checkpoint_summary(path)
+    bytes_before = path.stat().st_size
+    records_before = 0
     latest: dict = {}  # key -> record (insertion order re-established)
     for _lineno, record in _iter_records(path):
         kind = record.get("type")
+        records_before += kind != "header"
         if kind == "cell":
             key = ("cell", record.get("digest", ""))
             failed_key = ("failed", record.get("digest", ""))
@@ -805,13 +807,12 @@ def compact_checkpoint(
         for record in latest.values()
     )
     io_atomic.atomic_write_text(destination, "\n".join(lines) + "\n")
-    after = checkpoint_summary(destination)
     return {
         "path": str(destination),
-        "records_before": before["n_records"],
-        "records_after": after["n_records"],
-        "dropped": before["n_records"] - after["n_records"],
-        "bytes_before": before["bytes"],
-        "bytes_after": after["bytes"],
-        "digest": after["digest"],
+        "records_before": records_before,
+        "records_after": len(latest),
+        "dropped": records_before - len(latest),
+        "bytes_before": bytes_before,
+        "bytes_after": destination.stat().st_size,
+        "digest": checkpoint_digest(destination),
     }

@@ -381,25 +381,6 @@ class BenchGateError(CopernicusError):
     """
 
 
-class AdvisorError(CopernicusError):
-    """The learned fast-path advisor could not answer a query.
-
-    Raised when a prediction is requested outside the trained model's
-    coverage (unknown objective, format or partition size).  Callers
-    holding an exact fallback — the serve layer, ``repro advise`` —
-    catch this and degrade to the exact simulation path.
-    """
-
-
-class AdvisorModelError(AdvisorError):
-    """An ``advisor_model/v1`` artifact could not be read or trusted.
-
-    Covers missing/unreadable files, malformed JSON, unknown schema
-    versions, feature-schema mismatches against the running library,
-    and content-digest mismatches (a corrupt or hand-edited artifact).
-    """
-
-
 class SweepCellError(SimulationError):
     """One cell of a sweep grid failed.
 

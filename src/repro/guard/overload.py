@@ -9,9 +9,8 @@ so the state machines are testable without sleeping:
   lets exactly one probe through; a probe success closes the breaker,
   a probe failure re-opens it.  Every transition lands in a typed
   metrics counter (``guard.breaker.<route>.transition.<from>-<to>``).
-* **Bulkheads** — the server separates cheap traffic (learned
-  fast-path predictions, sandbox gating) from expensive sweep
-  computations with independent executor lanes; :class:`BulkheadStats`
+* **Bulkheads** — the server separates cheap traffic (sandbox
+  gating) from expensive sweep computations with independent executor lanes; :class:`BulkheadStats`
   is the shared accounting the metrics endpoint exports.
 * :class:`LoadShedder` — SLO-aware shedding: a rolling latency window
   decides a *shed line*; requests whose priority falls below the line
@@ -161,8 +160,7 @@ class CircuitBreaker:
         """Hand back the half-open probe without an outcome.
 
         For a probe whose request ended without a backend call that
-        will report (answered by a fast path, refused by admission,
-        cancelled): the next caller becomes the probe.  A no-op once
+        will report (refused by admission, cancelled): the next caller becomes the probe.  A no-op once
         an outcome has moved the breaker out of ``half-open``.
         """
         if self._state == "half-open":

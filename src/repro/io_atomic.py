@@ -1,7 +1,7 @@
 """Crash-safe file writes and the chaos hook seam.
 
 Every durable artifact the repo emits — checkpoints, queue task and
-done markers, manifests, BENCH reports, advisor models — must survive
+done markers, manifests, BENCH reports, metrics snapshots — must survive
 ``kill -9`` at any instant without ever presenting a half-written
 file to a reader.  Two disciplines cover every write site:
 

@@ -30,7 +30,6 @@ from .protocol import (
     ENDPOINTS,
     SERVE_SCHEMA,
     Query,
-    advise_fast_payload,
     advise_payload,
     canonical_json,
     characterize_payload,
@@ -55,7 +54,6 @@ __all__ = [
     "ENDPOINTS",
     "SERVE_SCHEMA",
     "Query",
-    "advise_fast_payload",
     "advise_payload",
     "canonical_json",
     "characterize_payload",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 from ..core.recommend import OBJECTIVES, Constraints, Recommendation
@@ -42,7 +41,6 @@ __all__ = [
     "canonical_json",
     "characterize_payload",
     "advise_payload",
-    "advise_fast_payload",
     "error_payload",
     "health_payload",
 ]
@@ -429,46 +427,6 @@ def advise_payload(
         ],
         "n_rejected": len(recommendation.rejected),
         "cells": [_cell(result) for result in results],
-    }
-
-
-def advise_fast_payload(query: Query, advice) -> dict:
-    """The ``/advise`` response body from the learned fast path.
-
-    Same field layout as :func:`advise_payload` minus ``cells`` (the
-    fast path never simulates, so there are no per-cell metrics) plus
-    an ``advisor`` block carrying the provenance a client needs to
-    audit the shortcut: the model digest, the prediction margin, and
-    an explicit ``predicted`` marker.  ``advice`` is a
-    :class:`repro.advisor.FastAdvice`.
-    """
-    prediction = advice.prediction
-    margin = advice.margin
-    return {
-        "schema": SERVE_SCHEMA,
-        "endpoint": "advise",
-        "digest": query_digest(query),
-        "query": query.echo(),
-        "objective": advice.objective,
-        "best": {
-            "format": prediction.format_name,
-            "partition_size": prediction.partition_size,
-            "value": prediction.best.value,
-        },
-        "ranking": [
-            {
-                "format": candidate.format_name,
-                "partition_size": candidate.partition_size,
-                "value": candidate.value,
-            }
-            for candidate in prediction.ranking
-        ],
-        "n_rejected": len(prediction.rejected),
-        "advisor": {
-            "model": advice.model_digest,
-            "margin": margin if math.isfinite(margin) else None,
-            "predicted": True,
-        },
     }
 
 

@@ -12,40 +12,33 @@ The concurrency mechanics, in the order a request meets them:
 
 1. **LRU result cache** — completed responses, keyed by query digest,
    stored as canonical bytes.  A hit skips everything below.
-2. **Learned fast path** (``/advise``, with an advisor model loaded)
-   — O(features) predicted rankings answered without simulating,
-   margin-gated: low-confidence predictions fall through to the exact
-   path below.  Fast bodies are cached under ``fast:<digest>`` and
-   marked ``X-Copernicus-Source: advised-fast``.
-3. **Single-flight coalescing** — concurrent requests with one digest
+2. **Single-flight coalescing** — concurrent requests with one digest
    share one backend computation
    (:class:`~repro.engine.SingleFlight`); waiters receive the same
    bytes, and a cancelled or timed-out waiter never cancels the
    shared work.
-4. **Admission control** — at most ``max_inflight`` backend
+3. **Admission control** — at most ``max_inflight`` backend
    computations run concurrently; at most ``queue_limit`` leaders may
    wait for a slot.  Beyond that the server answers ``429`` with a
    structured body instead of building an unbounded backlog.
-5. **Overload guard** (always armed, tuned by
+4. **Overload guard** (always armed, tuned by
    :class:`~repro.guard.GuardPolicy`) — a draining server refuses new
    queries; SLO-aware shedding refuses low-priority work once the
    rolling p99 crosses ``shed_p99_ms`` (off by default); a per-route
    circuit breaker answers at once after ``breaker_threshold``
-   consecutive backend failures until one probe succeeds; fast-path
-   and sandbox work run on their own two-thread cheap lane, so they
-   never queue behind sweep computations.
-6. **Per-request budget** — with ``budget_s`` set, a request that
+   consecutive backend failures until one probe succeeds; sandbox
+   work runs on its own two-thread cheap lane, so it never queues
+   behind sweep computations.
+5. **Per-request budget** — with ``budget_s`` set, a request that
    cannot be answered in time *degrades* instead of hanging: first to
-   a fast-path prediction for the full query (margin gating waived —
-   an unverified answer beats no answer), then to a cached answer for
-   the cheaper approximate form of the query (its smallest partition
-   size), then to computing that approximate
+   a cached answer for the cheaper approximate form of the query (its
+   smallest partition size), then to computing that approximate
    answer within a grace budget, and only then to a structured ``504``.
    The original computation keeps running and lands in the cache for
    the next asker.  Degraded responses are marked with the
    ``X-Copernicus-Degraded`` header — never in the body, which stays
    byte-identical per digest.
-7. **Telemetry** — every request increments counters and records a
+6. **Telemetry** — every request increments counters and records a
    labelled span in the server's
    :class:`~repro.observability.MetricsRegistry`, exported live at
    ``GET /metrics`` (``metrics/v1``).
@@ -72,11 +65,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .. import io_atomic
-from ..advisor import AdvisorModel, load_model, recommend_fast
 from ..engine.faults import FaultPlan
 from ..engine.singleflight import SingleFlight
 from ..errors import (
-    AdvisorError,
     CopernicusError,
     ServeBudgetError,
     ServeCircuitOpenError,
@@ -102,7 +93,6 @@ from .protocol import (
     DEFAULT_MAX_DIM,
     ENDPOINTS,
     Query,
-    advise_fast_payload,
     canonical_json,
     error_payload,
     health_payload,
@@ -137,7 +127,7 @@ READ_TIMEOUT_S = 30.0
 #: Spans kept in the live registry (oldest dropped beyond this).
 SPAN_CAP = 2048
 
-#: Thread-pool width of the cheap (fast-path/sandbox) bulkhead lane.
+#: Thread-pool width of the cheap (sandbox) bulkhead lane.
 CHEAP_LANE_WIDTH = 2
 
 
@@ -172,19 +162,6 @@ class CharacterizationServer:
     faults:
         Deterministic :class:`~repro.engine.faults.FaultPlan` (or its
         string form) injected into every backend sweep — testing only.
-    advisor_model:
-        Optional learned fast-path advisor: a loaded
-        :class:`~repro.advisor.AdvisorModel` or a path to an
-        ``advisor_model/v1`` artifact.  With a model, ``/advise``
-        queries whose prediction margin clears ``advisor_margin`` are
-        answered in O(features) without simulating
-        (``X-Copernicus-Source: advised-fast``); low-margin queries
-        fall through to the exact path, and a model that fails to load
-        disables the fast path (typed error counter) instead of
-        failing the server.
-    advisor_margin:
-        Relative best-vs-runner-up gap below which a fast prediction
-        is not trusted and the exact path answers instead.
     guard_policy:
         :class:`~repro.guard.GuardPolicy` tuning the always-armed
         overload guard: the per-route circuit breakers' threshold and
@@ -208,8 +185,6 @@ class CharacterizationServer:
         cache_size: int = 256,
         max_dim: int = DEFAULT_MAX_DIM,
         faults: "FaultPlan | str | None" = None,
-        advisor_model: "AdvisorModel | str | None" = None,
-        advisor_margin: float = 0.05,
         guard_policy: GuardPolicy = GuardPolicy(),
         sandbox_limits: "SandboxLimits | None" = None,
     ) -> None:
@@ -225,10 +200,6 @@ class CharacterizationServer:
             raise ServeError(
                 f"budget_s must be > 0 seconds, got {budget_s}"
             )
-        if advisor_margin < 0:
-            raise ServeError(
-                f"advisor_margin must be >= 0, got {advisor_margin}"
-            )
         self.host = host
         self.port = port
         self.max_inflight = max_inflight
@@ -239,21 +210,6 @@ class CharacterizationServer:
         self.cache: LRUCache = LRUCache(cache_size)
         self.flight = SingleFlight()
         self.backend = SweepBackend(faults=faults)
-        self.advisor_margin = advisor_margin
-        self.advisor: AdvisorModel | None = None
-        if isinstance(advisor_model, AdvisorModel):
-            self.advisor = advisor_model
-        elif advisor_model is not None:
-            # a broken artifact must not take the server down: the
-            # exact path still answers everything, so degrade to it
-            # and leave a typed counter behind for the operator
-            try:
-                self.advisor = load_model(advisor_model)
-            except CopernicusError as error:
-                self.metrics.incr("serve.advisor.load_failures")
-                self.metrics.incr(
-                    f"serve.advisor.errors.{type(error).__name__}"
-                )
         self.guard_policy = guard_policy
         self._breakers: dict[str, CircuitBreaker] = {}
         #: Backend calls running per route (their outcomes are pending).
@@ -293,7 +249,7 @@ class CharacterizationServer:
             max_workers=self.max_inflight,
             thread_name_prefix="repro-serve",
         )
-        # the bulkhead: cheap fast-path/sandbox work never queues
+        # the bulkhead: cheap sandbox work never queues
         # behind (or starves) expensive sweep computations
         self._cheap_executor = ThreadPoolExecutor(
             max_workers=CHEAP_LANE_WIDTH,
@@ -611,10 +567,6 @@ class CharacterizationServer:
                 breaker.retry_after_s(),
             )
         try:
-            if self.advisor is not None and query.endpoint == "advise":
-                fast = await self._fast_advise(query, digest)
-                if fast is not None:
-                    return fast, "advised-fast", ""
             waiter = self._shared_flight(query, digest)
             if self.budget_s is None:
                 body, led = await waiter
@@ -628,10 +580,10 @@ class CharacterizationServer:
                 # the shared computation keeps running for future
                 # askers; this request degrades instead of hanging
                 self.metrics.incr("serve.budget.expired")
-                return await self._degrade(query, digest)
+                return await self._degrade(query)
         finally:
             # only a backend call reports an outcome: a probe answered
-            # without one (advised-fast, 429, cancelled) hands the
+            # without one (429, cancelled) hands the
             # probe back unless a running call on the route still will
             if probe and not self._backend_calls.get(query.endpoint):
                 breaker.release()
@@ -771,102 +723,14 @@ class CharacterizationServer:
                     self._sandbox = Sandbox(self._sandbox_limits)
         return self._sandbox.run("profile", mtx=content, p=p)
 
-    # ------------------------------------------------------------------
-    # The learned fast path
-    # ------------------------------------------------------------------
-    async def _fast_advise(
-        self, query: Query, digest: str
-    ) -> bytes | None:
-        """One fast-path attempt; ``None`` means use the exact path.
-
-        Fast bodies are cached under ``fast:<digest>`` — never under
-        the exact digest, so a fast answer can never impersonate an
-        exact one.  Only confident (margin-clearing) bodies land in
-        this cache.
-        """
-        key = "fast:" + digest
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.metrics.incr("serve.advisor.fast_hits")
-            self.metrics.incr("serve.advisor.cache_hits")
-            return cached
-        body = await self._advisor_executor(query, ignore_margin=False)
-        if body is None:
-            return None
-        self.metrics.incr("serve.advisor.fast_hits")
-        self.cache.put(key, body)
-        return body
-
-    async def _advisor_executor(
-        self, query: Query, ignore_margin: bool
-    ) -> bytes | None:
-        loop = asyncio.get_running_loop()
-        stats = self._bulkheads["cheap"]
-        stats.submitted += 1
-        try:
-            # cheap lane: a fast prediction must not queue behind a
-            # convoy of sweep computations
-            return await loop.run_in_executor(
-                self._cheap_executor,
-                functools.partial(
-                    self._advisor_answer, query, ignore_margin
-                ),
-            )
-        except AdvisorError as error:
-            # outside the model's coverage (objective, formats,
-            # partition sizes): the exact path owns this query
-            self.metrics.incr(
-                f"serve.advisor.errors.{type(error).__name__}"
-            )
-            self.metrics.incr("serve.advisor.fallbacks")
-            return None
-        finally:
-            stats.completed += 1
-
-    def _advisor_answer(
-        self, query: Query, ignore_margin: bool
-    ) -> bytes | None:
-        """Synchronous fast prediction (runs on the executor).
-
-        ``None`` means the margin came in under the threshold — the
-        serve layer's verification is the exact path itself, so the
-        caller falls through to it.
-        """
-        matrix = query.spec.build().matrix
-        advice = recommend_fast(
-            matrix,
-            self.advisor,
-            objective=query.objective,
-            formats=query.formats,
-            partitions=query.partitions,
-            constraints=query.recommend_constraints(),
-            margin_threshold=(
-                0.0 if ignore_margin else self.advisor_margin
-            ),
-            verify=False,
-        )
-        if advice.low_margin:
-            self.metrics.incr("serve.advisor.verifies")
-            return None
-        return canonical_json(advise_fast_payload(query, advice))
-
-    async def _degrade(
-        self, query: Query, digest: str
-    ) -> tuple[bytes, str, str]:
+    async def _degrade(self, query: Query) -> tuple[bytes, str, str]:
         """Answer a budget-blown request without the full computation.
 
-        The degradation ladder: a confident fast prediction for the
-        *full* query (when an advisor is loaded — margin gating is
-        waived, an unverified answer beats no answer), then a cached
-        answer for the approximate query (its smallest partition
-        size), then computing that approximate answer within one grace
-        budget, then a structured ``504``.
+        The degradation ladder: a cached answer for the approximate
+        query (its smallest partition size), then computing that
+        approximate answer within one grace budget, then a structured
+        ``504``.
         """
-        if self.advisor is not None and query.endpoint == "advise":
-            fast = await self._degraded_fast(query, digest)
-            if fast is not None:
-                self.metrics.incr("serve.degraded.fast")
-                return fast, "advised-fast", "fast-predicted"
         approximate = query.approximate()
         if approximate is None:
             raise ServeBudgetError(
@@ -892,25 +756,6 @@ class CharacterizationServer:
             ) from None
         self.metrics.incr("serve.degraded.computed")
         return body, "computed", "approximate"
-
-    async def _degraded_fast(
-        self, query: Query, digest: str
-    ) -> bytes | None:
-        """Fast body for a budget-blown query, margin gating waived.
-
-        A confident cached fast body is reused; an unconfident one is
-        cached under ``fast-degraded:<digest>`` only, so the normal
-        fast path never serves a below-threshold prediction.
-        """
-        for key in ("fast:" + digest, "fast-degraded:" + digest):
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.incr("serve.advisor.cache_hits")
-                return cached
-        body = await self._advisor_executor(query, ignore_margin=True)
-        if body is not None:
-            self.cache.put("fast-degraded:" + digest, body)
-        return body
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -957,15 +802,6 @@ class CharacterizationServer:
                     "leaders": self.flight.stats.leaders,
                     "coalesced": self.flight.stats.coalesced,
                     "failures": self.flight.stats.failures,
-                },
-                "advisor": {
-                    "enabled": self.advisor is not None,
-                    "model": (
-                        self.advisor.digest
-                        if self.advisor is not None
-                        else None
-                    ),
-                    "margin_threshold": self.advisor_margin,
                 },
                 "guard": {
                     "enabled": True,

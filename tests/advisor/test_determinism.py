@@ -1,120 +1,35 @@
-"""Train/predict determinism contract for the advisor.
+"""Determinism contract for sampled advise.
 
-The ``advisor_model/v1`` artifact is supposed to be a pure function of
-(training observations, hyperparameters): the same specs and seed must
-produce byte-identical bytes whether the sweep ran on one worker or
-several, and whether the rows came from an in-process sweep or from a
-replayed manifest of that sweep.  Rankings produced by the artifact
-are likewise deterministic.
+The band sample is fixed by module constants (band size, every k-th
+band, offset): there is no seed, so the same matrix always yields the
+same sampled ranking.
 """
 
 from __future__ import annotations
 
-from repro.advisor import (
-    model_from_payload,
-    recommend_fast,
-    rows_from_manifest,
-    rows_from_outcome,
-    sweep_training_rows,
-    train_model,
-)
-from repro.engine.runner import SweepRunner
+from repro.core.recommend import SAMPLE_EVERY, recommend
 from repro.engine.specs import WorkloadSpec
-from tests.advisor.conftest import TINY_FORMATS, TINY_PARTITIONS, tiny_specs
-
-
-def _train_bytes(workers: int) -> bytes:
-    specs = tiny_specs()
-    rows = sweep_training_rows(
-        specs, TINY_FORMATS, TINY_PARTITIONS, workers=workers
-    )
-    return train_model(specs, rows).to_bytes()
-
-
-class TestArtifactByteIdentity:
-    def test_one_vs_two_workers(self) -> None:
-        assert _train_bytes(1) == _train_bytes(2)
-
-    def test_row_order_does_not_matter(self, tiny_rows) -> None:
-        specs = tiny_specs()
-        forward = train_model(specs, tiny_rows)
-        backward = train_model(specs, list(reversed(tiny_rows)))
-        assert forward.to_bytes() == backward.to_bytes()
-
-    def test_manifest_replay_is_byte_identical(
-        self, tiny_model, tmp_path
-    ) -> None:
-        specs = tiny_specs()
-        runner = SweepRunner(telemetry=True, error_policy="fail_fast")
-        outcome = runner.run_grid(
-            list(specs), TINY_FORMATS, partition_sizes=TINY_PARTITIONS
-        )
-        direct = train_model(specs, rows_from_outcome(outcome, specs))
-        assert direct.to_bytes() == tiny_model.to_bytes()
-
-        manifest = outcome.write_manifest(tmp_path / "run.jsonl")
-        rows, skipped = rows_from_manifest(manifest, specs)
-        assert skipped == []
-        replayed = train_model(specs, rows)
-        assert replayed.to_bytes() == tiny_model.to_bytes()
-
-    def test_payload_round_trip_preserves_bytes(
-        self, tiny_model
-    ) -> None:
-        clone = model_from_payload(tiny_model.to_payload())
-        assert clone.to_bytes() == tiny_model.to_bytes()
 
 
 class TestRankingDeterminism:
-    def test_fast_rankings_are_identical_across_calls(
-        self, tiny_model
-    ) -> None:
+    def test_fast_rankings_are_identical_across_calls(self) -> None:
         matrix = WorkloadSpec.random(
-            64, 0.08, seed=11, name="probe"
+            2048, 0.004, seed=11, name="probe"
         ).build().matrix
 
         def ranking() -> list:
-            advice = recommend_fast(
+            advice = recommend(
                 matrix,
-                tiny_model,
-                formats=TINY_FORMATS,
-                partitions=TINY_PARTITIONS,
-                verify=False,
+                formats=("coo", "csr", "ell"),
+                partition_sizes=(8, 16),
+                fast=True,
             )
+            assert advice.sample_every == SAMPLE_EVERY
             return [
-                (c.format_name, c.partition_size, c.value)
-                for c in advice.prediction.ranking
+                (r.format_name, r.partition_size, advice.cycles(r))
+                for r in advice.ranking()
             ]
 
         first = ranking()
         assert first == ranking()
-        assert len(first) == len(TINY_FORMATS) * len(TINY_PARTITIONS)
-
-    def test_models_from_either_worker_count_rank_identically(
-        self,
-    ) -> None:
-        specs = tiny_specs()
-        models = [
-            train_model(
-                specs,
-                sweep_training_rows(
-                    specs, TINY_FORMATS, TINY_PARTITIONS, workers=n
-                ),
-            )
-            for n in (1, 2)
-        ]
-        matrix = WorkloadSpec.band(96, 7, seed=6, name="probe").build().matrix
-        rankings = [
-            [
-                (c.format_name, c.partition_size, c.value)
-                for c in recommend_fast(
-                    matrix,
-                    model,
-                    formats=TINY_FORMATS,
-                    partitions=TINY_PARTITIONS,
-                    verify=False,
-                ).prediction.ranking
-            ]
-            for model in models
-        ]
-        assert rankings[0] == rankings[1]
+        assert len(first) == 6

@@ -1,175 +1,208 @@
-"""Unit tests for ``recommend_fast``: verification, coverage, filters.
+"""Unit tests for sampled advise: ``recommend(..., fast=True)``.
 
-The fast path's contract is "never silently wrong": questions outside
-the model's coverage raise a typed :class:`AdvisorError`, low-margin
-predictions are re-ranked by the exact model when ``verify=True``, and
-the exact constraint check filters predicted candidates the same way
-it filters measured ones.
+The sampled path keeps every 8th band of 32 rows and runs the exact
+model on them.  Its contract: each kept tile is profiled exactly as in
+the whole matrix, a matrix below the floor runs exact (and says so),
+and the constraint filter rejects the same design points as exact.
 """
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 
-from repro.advisor import FastAdvice, recommend_fast
-from repro.core.recommend import Constraints, recommend
+from repro.core.recommend import (
+    OBJECTIVES,
+    SAMPLE_BAND_ROWS,
+    SAMPLE_EVERY,
+    SAMPLE_FLOOR_BANDS,
+    SAMPLE_OFFSET,
+    Constraints,
+    band_sample,
+    recommend,
+)
 from repro.engine.specs import WorkloadSpec
-from repro.errors import AdvisorError, SimulationError
-from tests.advisor.conftest import TINY_FORMATS, TINY_PARTITIONS
+from repro.errors import ShapeError, SimulationError
+from repro.matrix import SparseMatrix
+from repro.partition import PROFILE_COLUMNS, profile_table
+
+#: The smallest matrix the sampled path samples.
+FLOOR_ROWS = SAMPLE_FLOOR_BANDS * SAMPLE_BAND_ROWS
+FORMATS = ("coo", "csr", "ell")
+PARTITIONS = (8, 16)
 
 
-def _probe_matrix():
-    return WorkloadSpec.random(64, 0.1, seed=21, name="probe").build().matrix
+def _probe_matrix(n: int = FLOOR_ROWS) -> SparseMatrix:
+    return WorkloadSpec.random(n, 0.004, seed=21, name="probe").build().matrix
 
 
-class TestVerification:
-    def test_infinite_threshold_forces_exact_verification(
-        self, tiny_model
+def _keys(results) -> set[tuple[str, int]]:
+    return {(r.format_name, r.partition_size) for r in results}
+
+
+class TestBandSample:
+    def test_constants(self) -> None:
+        assert (SAMPLE_BAND_ROWS, SAMPLE_EVERY, SAMPLE_OFFSET) == (32, 8, 4)
+        assert FLOOR_ROWS == 2048
+
+    def test_keeps_every_eighth_band_from_the_offset(self) -> None:
+        matrix = _probe_matrix(FLOOR_ROWS + 40)  # a partial last band
+        sample = band_sample(matrix)
+        kept = range(SAMPLE_OFFSET, 65, SAMPLE_EVERY)  # 65 bands
+        assert sample.shape == (len(kept) * SAMPLE_BAND_ROWS, matrix.n_cols)
+        dense, sampled = matrix.to_dense(), sample.to_dense()
+        for index, band in enumerate(kept):
+            start = band * SAMPLE_BAND_ROWS
+            got = sampled[index * SAMPLE_BAND_ROWS:][:SAMPLE_BAND_ROWS]
+            want = dense[start:start + SAMPLE_BAND_ROWS]
+            assert np.array_equal(got[:len(want)], want)
+            assert not got[len(want):].any()
+
+    def test_a_matrix_without_the_offset_band_is_refused(self) -> None:
+        matrix = _probe_matrix(SAMPLE_OFFSET * SAMPLE_BAND_ROWS)
+        with pytest.raises(ShapeError, match="no band 4"):
+            band_sample(matrix)
+
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    def test_profile_equals_the_kept_bands_profiled_one_by_one(
+        self, p
     ) -> None:
-        matrix = _probe_matrix()
-        advice = recommend_fast(
-            matrix,
-            tiny_model,
-            formats=TINY_FORMATS,
-            partitions=TINY_PARTITIONS,
-            margin_threshold=1e18,
-            verify=True,
+        matrix = WorkloadSpec.band(
+            FLOOR_ROWS, 40, seed=3, name="b"
+        ).build().matrix
+        sampled = profile_table(band_sample(matrix), p)
+        n_bands = matrix.n_rows // SAMPLE_BAND_ROWS
+        tables = [
+            profile_table(
+                matrix.submatrix(
+                    band * SAMPLE_BAND_ROWS,
+                    (band + 1) * SAMPLE_BAND_ROWS,
+                    0,
+                    matrix.n_cols,
+                ),
+                p,
+            )
+            for band in range(SAMPLE_OFFSET, n_bands, SAMPLE_EVERY)
+        ]
+        assert sampled.n_tiles == sum(t.n_tiles for t in tables) > 0
+        for name in PROFILE_COLUMNS:
+            assert np.array_equal(
+                getattr(sampled, name),
+                np.concatenate([getattr(t, name) for t in tables]),
+            ), name
+        assert np.array_equal(
+            sampled.row_nnz_hist,
+            np.concatenate([t.row_nnz_hist for t in tables]),
         )
-        assert advice.low_margin
-        assert advice.verified
-        assert advice.exact is not None
+
+
+class TestFastRecommend:
+    def test_below_the_floor_runs_exact(self) -> None:
+        matrix = _probe_matrix(FLOOR_ROWS - 1)
+        fast = recommend(
+            matrix, formats=FORMATS, partition_sizes=PARTITIONS, fast=True
+        )
         exact = recommend(
-            matrix,
-            formats=TINY_FORMATS,
-            partition_sizes=TINY_PARTITIONS,
+            matrix, formats=FORMATS, partition_sizes=PARTITIONS
         )
-        assert advice.best_format == exact.format_name
-        assert advice.best_partition_size == exact.partition_size
-        assert advice.source == "verified"
+        assert fast.sample_every == exact.sample_every == 1
+        assert fast.candidates == exact.candidates
+        assert fast.best == exact.best
 
-    def test_verify_false_flags_but_does_not_rerank(
-        self, tiny_model
-    ) -> None:
-        advice = recommend_fast(
-            _probe_matrix(),
-            tiny_model,
-            formats=TINY_FORMATS,
-            partitions=TINY_PARTITIONS,
-            margin_threshold=1e18,
-            verify=False,
+    def test_at_the_floor_samples(self) -> None:
+        matrix = _probe_matrix()
+        fast = recommend(
+            matrix, formats=FORMATS, partition_sizes=PARTITIONS, fast=True
         )
-        assert advice.low_margin
-        assert not advice.verified
-        assert advice.exact is None
-        assert advice.source == "fast"
+        assert fast.sample_every == SAMPLE_EVERY
+        sampled = recommend(
+            band_sample(matrix), formats=FORMATS,
+            partition_sizes=PARTITIONS,
+        )
+        assert fast.candidates == sampled.candidates
 
-    def test_confident_prediction_skips_verification(
-        self, tiny_model
-    ) -> None:
-        advice = recommend_fast(
-            _probe_matrix(),
-            tiny_model,
-            formats=TINY_FORMATS,
-            partitions=TINY_PARTITIONS,
-            margin_threshold=0.0,
-            verify=True,
+    def test_a_partition_size_that_cuts_the_band_runs_exact(self) -> None:
+        fast = recommend(
+            _probe_matrix(), formats=("csr",), partition_sizes=(8, 64),
+            fast=True,
         )
-        assert not advice.low_margin
-        assert not advice.verified
-        assert advice.margin >= 0.0
+        assert fast.sample_every == 1
 
-    def test_single_candidate_margin_is_infinite(
-        self, tiny_model
-    ) -> None:
-        advice = recommend_fast(
-            _probe_matrix(),
-            tiny_model,
-            formats=("csr",),
-            partitions=(8,),
-            margin_threshold=1e18,
+    def test_an_empty_sample_runs_exact(self) -> None:
+        # every entry sits in band 0, which the sample skips
+        matrix = SparseMatrix((FLOOR_ROWS, 64), [0, 5], [1, 2], [1.0, 2.0])
+        assert band_sample(matrix).nnz == 0
+        fast = recommend(
+            matrix, formats=FORMATS, partition_sizes=PARTITIONS, fast=True
         )
-        assert math.isinf(advice.margin)
-        assert not advice.low_margin
-        assert not advice.verified
+        assert fast.sample_every == 1
+
+    def test_cycles_scale_steady_state_only(self) -> None:
+        fast = recommend(
+            _probe_matrix(), formats=FORMATS, partition_sizes=PARTITIONS,
+            fast=True,
+        )
+        for result in fast.candidates:
+            pipeline = result.pipeline
+            edges = pipeline.fill_cycles + pipeline.drain_cycles
+            assert fast.cycles(result) == (
+                SAMPLE_EVERY * (result.total_cycles - edges) + edges
+            )
+        exact = recommend(
+            _probe_matrix(), formats=FORMATS, partition_sizes=PARTITIONS
+        )
+        assert exact.cycles(exact.best) == exact.best.total_cycles
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_every_objective_ranks(self, objective) -> None:
+        fast = recommend(
+            _probe_matrix(), objective, formats=FORMATS,
+            partition_sizes=PARTITIONS, fast=True,
+        )
+        assert fast.sample_every == SAMPLE_EVERY
+        assert fast.ranking()[0] == fast.best
 
 
 class TestCoverage:
-    def test_non_latency_objective_is_refused(self, tiny_model) -> None:
-        with pytest.raises(AdvisorError, match="latency"):
-            recommend_fast(
-                _probe_matrix(), tiny_model, objective="power"
-            )
-
-    def test_untrained_format_is_refused(self, tiny_model) -> None:
-        with pytest.raises(AdvisorError, match="no trained head"):
-            recommend_fast(
-                _probe_matrix(),
-                tiny_model,
-                formats=("csr", "dia"),
-                partitions=TINY_PARTITIONS,
-            )
-
-    def test_untrained_partition_is_refused(self, tiny_model) -> None:
-        with pytest.raises(AdvisorError, match="no trained head"):
-            recommend_fast(
-                _probe_matrix(),
-                tiny_model,
-                formats=TINY_FORMATS,
-                partitions=(64,),
-            )
-
-    def test_negative_threshold_is_refused(self, tiny_model) -> None:
-        with pytest.raises(AdvisorError, match=">= 0"):
-            recommend_fast(
-                _probe_matrix(), tiny_model, margin_threshold=-0.1
-            )
-
-    def test_defaults_to_full_model_coverage(self, tiny_model) -> None:
-        advice = recommend_fast(_probe_matrix(), tiny_model)
-        assert isinstance(advice, FastAdvice)
-        assert advice.model_digest == tiny_model.digest
-        assert len(advice.ranking) == (
-            len(TINY_FORMATS) * len(TINY_PARTITIONS)
+    def test_defaults_to_full_model_coverage(self) -> None:
+        matrix = _probe_matrix()
+        fast = recommend(matrix, fast=True)
+        exact = recommend(matrix)
+        assert fast.sample_every == SAMPLE_EVERY
+        assert _keys(fast.candidates + fast.rejected) == _keys(
+            exact.candidates + exact.rejected
         )
 
 
 class TestConstraints:
-    def test_impossible_budget_rejects_everything(
-        self, tiny_model
-    ) -> None:
+    def test_impossible_budget_rejects_everything(self) -> None:
         tight = Constraints(max_bram_18k=0, max_ff=0, max_lut=0)
         with pytest.raises(SimulationError):
-            recommend_fast(
+            recommend(
                 _probe_matrix(),
-                tiny_model,
-                formats=TINY_FORMATS,
-                partitions=TINY_PARTITIONS,
+                formats=FORMATS,
+                partition_sizes=PARTITIONS,
                 constraints=tight,
+                fast=True,
             )
 
-    def test_rejections_match_the_exact_model(self, tiny_model) -> None:
+    def test_rejections_match_the_exact_model(self) -> None:
         matrix = _probe_matrix()
-        budget = Constraints(max_bram_18k=20)
-        advice = recommend_fast(
+        budget = Constraints(max_lut=1_200)
+        fast = recommend(
             matrix,
-            tiny_model,
-            formats=TINY_FORMATS,
-            partitions=TINY_PARTITIONS,
+            formats=FORMATS,
+            partition_sizes=PARTITIONS,
             constraints=budget,
+            fast=True,
         )
         exact = recommend(
             matrix,
-            formats=TINY_FORMATS,
-            partition_sizes=TINY_PARTITIONS,
+            formats=FORMATS,
+            partition_sizes=PARTITIONS,
             constraints=budget,
         )
-        predicted_rejected = {
-            (c.format_name, c.partition_size)
-            for c in advice.prediction.rejected
-        }
-        exact_rejected = {
-            (r.format_name, r.partition_size) for r in exact.rejected
-        }
-        assert predicted_rejected == exact_rejected
+        assert fast.sample_every == SAMPLE_EVERY
+        assert fast.rejected
+        assert _keys(fast.rejected) == _keys(exact.rejected)
+        assert _keys(fast.candidates) == _keys(exact.candidates)

@@ -1,172 +1,134 @@
-"""Golden-schema tests for the advisor artifacts.
+"""Golden-schema tests for the ``repro bench advisor`` report.
 
-Mirrors the serve golden-schema suite: the exact field sets of
-``advisor_model/v1`` and the advisor suite's ``bench/v2`` report are
-pinned here, along
-with the self-verification contract — digest stability across
-spelling, reject-on-unknown-version, reject-on-tamper, and
-reject-on-feature-mismatch.
+Pins the exact field sets of the suite's ``bench/v2`` report, its
+gates, and the rank statistics it scores with (``rankdata`` and
+``spearman`` tie handling, by table).
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.advisor import (
-    ADVISOR_MODEL_SCHEMA,
-    FEATURE_NAMES,
-    bench_advisor,
-    load_model,
-    model_from_payload,
-    save_model,
+from repro.bench_advisor import (
+    SUITE,
+    advisor_sections,
+    rankdata,
+    spearman,
 )
-from repro.advisor.bench import SUITE
+from repro.engine.specs import WorkloadSpec
 from repro.envelope import BENCH_SCHEMA, envelope
-from repro.errors import AdvisorModelError
-from tests.advisor.conftest import tiny_specs
-
-#: advisor_model/v1 golden field sets — update only with a schema bump.
-MODEL_FIELDS = {
-    "schema", "feature_p", "block_size", "sample_cap", "ridge_lambda",
-    "features", "standardize", "heads", "training", "digest",
-}
-HEAD_FIELDS = {"format", "partition_size", "bias", "weights"}
+from repro.errors import SimulationError
 
 #: bench/v2 golden field sets of the advisor suite.
 BENCH_FIELDS = {
     "schema", "suite", "machine", "config", "gates", "n_gates_failed",
-    "model", "accuracy", "latency", "per_workload",
+    "accuracy", "latency", "per_workload",
 }
 GATE_FIELDS = {"name", "path", "op", "bound", "value", "passed"}
 MACHINE_FIELDS = {
     "cpu_count", "platform", "machine", "python", "implementation",
 }
-BENCH_MODEL_FIELDS = {
-    "digest", "feature_p", "n_features", "n_heads", "ridge_lambda",
-    "training",
-}
 BENCH_CONFIG_FIELDS = {
-    "objective", "formats", "partitions", "n_heldout", "n_cells",
-    "repeats",
+    "objective", "formats", "partitions", "sample", "n_workloads",
 }
+BENCH_SAMPLE_FIELDS = {"band_rows", "every", "offset", "floor_bands"}
 BENCH_ACCURACY_FIELDS = {
     "spearman_mean", "spearman_min", "top1_agreement", "top3_agreement",
+    "regret_max",
 }
 BENCH_LATENCY_FIELDS = {
-    "per_workload", "exact_ms_geomean", "fast_ms_geomean",
-    "speedup_geomean", "speedup_min",
+    "exact_ms_geomean", "sampled_ms_geomean", "speedup_geomean",
+    "speedup_min",
 }
 BENCH_WORKLOAD_FIELDS = {
-    "workload", "recipe_digest", "spearman", "exact_best",
-    "predicted_best", "top1", "top3",
+    "workload", "n", "nnz", "spearman", "exact_best", "sampled_best",
+    "top1", "top3", "regret", "exact_ms", "sampled_ms", "speedup",
 }
 
 
 def test_schema_version_strings() -> None:
-    assert ADVISOR_MODEL_SCHEMA == "advisor_model/v1"
     assert BENCH_SCHEMA == "bench/v2"
     assert [(g.name, g.path, g.op, g.bound) for g in SUITE.gates] == [
         ("spearman_mean", "accuracy.spearman_mean", ">=", 0.9),
         ("top3_agreement", "accuracy.top3_agreement", ">=", 0.95),
-        ("speedup_min", "latency.speedup_min", ">=", 50),
+        ("speedup_geomean", "latency.speedup_geomean", ">=", 1.5),
     ]
     # no quick mode: --quick runs full size with every gate
     assert SUITE.quick_gates is None
     assert SUITE.resolve(quick=True) == SUITE.resolve()
 
 
-class TestModelArtifact:
-    def test_field_sets(self, tiny_model) -> None:
-        payload = tiny_model.to_payload()
-        assert set(payload) == MODEL_FIELDS
-        assert payload["schema"] == ADVISOR_MODEL_SCHEMA
-        assert payload["features"] == list(FEATURE_NAMES)
-        assert set(payload["standardize"]) == {"mean", "scale"}
-        for head in payload["heads"]:
-            assert set(head) == HEAD_FIELDS
+class TestRankStatistics:
+    @pytest.mark.parametrize(
+        "values, ranks",
+        [
+            ([], []),
+            ([5.0], [1.0]),
+            ([3.0, 1.0, 2.0], [3.0, 1.0, 2.0]),
+            ([1.0, 1.0], [1.5, 1.5]),
+            ([2.0, 1.0, 2.0, 3.0], [2.5, 1.0, 2.5, 4.0]),
+            ([7.0, 7.0, 7.0], [2.0, 2.0, 2.0]),
+            ([0.0, 4.0, 4.0, 1.0, 4.0], [1.0, 4.0, 4.0, 2.0, 4.0]),
+        ],
+    )
+    def test_rankdata_shares_ties(self, values, ranks) -> None:
+        assert rankdata(values).tolist() == ranks
 
-    def test_digest_is_stable_across_key_order(self, tiny_model) -> None:
-        payload = tiny_model.to_payload()
-        reordered = json.loads(
-            json.dumps(payload, sort_keys=True)
-        )
-        assert model_from_payload(reordered).digest == tiny_model.digest
+    @pytest.mark.parametrize(
+        "a, b, rho",
+        [
+            ([1, 2, 3], [10, 20, 30], 1.0),
+            ([1, 2, 3], [30, 20, 10], -1.0),
+            ([1, 2, 3, 4], [1, 3, 2, 4], 0.8),
+            # ties: ranks (1.5, 1.5, 3) against (1, 2, 3)
+            ([1, 1, 2], [1, 2, 3], 0.8660254037844387),
+            # a constant side has no order to disagree with
+            ([4, 4, 4], [1, 2, 3], 1.0),
+            ([9], [2], 1.0),
+        ],
+    )
+    def test_spearman_table(self, a, b, rho) -> None:
+        assert spearman(a, b) == pytest.approx(rho, abs=1e-12)
+        assert spearman(b, a) == pytest.approx(rho, abs=1e-12)
 
-    def test_save_load_round_trip(self, tiny_model, tmp_path) -> None:
-        path = save_model(tiny_model, tmp_path / "model.json")
-        loaded = load_model(path)
-        assert loaded == tiny_model
-        assert loaded.digest == tiny_model.digest
 
-    def test_unknown_schema_version_is_rejected(
-        self, tiny_model
-    ) -> None:
-        payload = tiny_model.to_payload()
-        payload["schema"] = "advisor_model/v999"
-        with pytest.raises(AdvisorModelError, match="unsupported"):
-            model_from_payload(payload)
-
-    def test_feature_schema_mismatch_is_rejected(
-        self, tiny_model
-    ) -> None:
-        payload = tiny_model.to_payload()
-        payload["features"] = payload["features"][:-1] + ["bogus"]
-        with pytest.raises(AdvisorModelError, match="feature schema"):
-            model_from_payload(payload)
-
-    def test_tampered_weights_are_rejected(self, tiny_model) -> None:
-        payload = tiny_model.to_payload()
-        payload["heads"][0]["bias"] += 1.0
-        with pytest.raises(AdvisorModelError, match="digest mismatch"):
-            model_from_payload(payload)
-
-    def test_missing_file_is_a_typed_error(self, tmp_path) -> None:
-        with pytest.raises(AdvisorModelError, match="cannot read"):
-            load_model(tmp_path / "nope.json")
-
-    def test_non_json_file_is_a_typed_error(self, tmp_path) -> None:
-        path = tmp_path / "garbage.json"
-        path.write_text("}{ not json")
-        with pytest.raises(AdvisorModelError, match="not valid JSON"):
-            load_model(path)
+#: Two matrices at the sampling floor, small enough for a unit test.
+SPECS = (
+    WorkloadSpec.random(2048, 0.002, seed=3, name="r2048"),
+    WorkloadSpec.band(2048, 8, seed=4, name="b2048"),
+)
 
 
 class TestBenchReport:
     @pytest.fixture(scope="class")
-    def report(self, tiny_model) -> dict:
-        specs = tiny_specs()
-        sections = bench_advisor(
-            tiny_model,
-            specs[:2],
-            repeats=1,
-            latency_specs=specs[2:3],
-        )
+    def report(self) -> dict:
+        sections = advisor_sections(seed=11, repeats=1, specs=SPECS)
         config = sections.pop("config")
         return envelope("advisor", config, sections, SUITE.gates)
 
-    def test_field_sets(self, report, tiny_model) -> None:
+    def test_field_sets(self, report) -> None:
         assert set(report) == BENCH_FIELDS
         assert report["schema"] == BENCH_SCHEMA
         assert report["suite"] == "advisor"
         assert set(report["machine"]) == MACHINE_FIELDS
         assert [g["name"] for g in report["gates"]] == [
-            "spearman_mean", "top3_agreement", "speedup_min",
+            "spearman_mean", "top3_agreement", "speedup_geomean",
         ]
         for gate in report["gates"]:
             assert set(gate) == GATE_FIELDS
-        assert set(report["model"]) == BENCH_MODEL_FIELDS
-        assert report["model"]["digest"] == tiny_model.digest
         assert set(report["config"]) == BENCH_CONFIG_FIELDS
+        assert set(report["config"]["sample"]) == BENCH_SAMPLE_FIELDS
+        assert report["config"]["n_workloads"] == len(SPECS)
         assert set(report["accuracy"]) == BENCH_ACCURACY_FIELDS
         assert set(report["latency"]) == BENCH_LATENCY_FIELDS
+        assert [row["workload"] for row in report["per_workload"]] == [
+            spec.name for spec in SPECS
+        ]
         for row in report["per_workload"]:
             assert set(row) == BENCH_WORKLOAD_FIELDS
-        for row in report["latency"]["per_workload"]:
-            assert set(row) == {
-                "workload", "nnz", "exact_ms", "fast_ms", "speedup",
-            }
 
     def test_report_is_json_serializable(self, report) -> None:
         encoded = json.dumps(report, sort_keys=True)
@@ -174,5 +136,15 @@ class TestBenchReport:
 
     def test_agreement_rates_are_fractions(self, report) -> None:
         accuracy = report["accuracy"]
-        for key in BENCH_ACCURACY_FIELDS:
+        for key in ("spearman_mean", "spearman_min", "top1_agreement",
+                    "top3_agreement"):
             assert -1.0 <= accuracy[key] <= 1.0
+        for row in report["per_workload"]:
+            assert row["regret"] >= 0.0
+            assert row["top3"] or not row["top1"]
+            assert np.isfinite(row["speedup"])
+
+    def test_a_matrix_that_runs_exact_stops_the_suite(self) -> None:
+        small = WorkloadSpec.random(256, 0.05, seed=1, name="r256")
+        with pytest.raises(SimulationError, match="r256.*ran exact"):
+            advisor_sections(seed=11, repeats=1, specs=(small,))

@@ -828,3 +828,54 @@ class TestCrashDamageResume:
         assert resumed.results == baseline.results
         assert resumed.telemetry.n_replayed == N_CELLS
         assert checkpoint_digest(path) == reference
+
+
+class TestCompact:
+    def test_compaction_decodes_each_cell_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import checkpoint as module
+
+        path = tmp_path / "ck.jsonl"
+        SweepRunner(error_policy="fail_fast", checkpoint=path).run_grid(
+            SPECS[:1], ("csr",), partition_sizes=(8, 16)
+        )
+        reference = checkpoint_digest(path)
+        assert checkpoint_summary(path)["n_cells"] == 2
+        calls = []
+
+        def counting(record):
+            calls.append(record.get("digest"))
+            return _cell_value(record)
+
+        monkeypatch.setattr(module, "_cell_value", counting)
+        stats = module.compact_checkpoint(path, tmp_path / "tidy.jsonl")
+        # the after-digest decodes each cell; the before-stats decode
+        # nothing
+        assert len(calls) == 2
+        assert stats["digest"] == reference
+        assert stats["records_before"] == stats["records_after"] == 2
+        assert stats["dropped"] == 0
+        assert stats["bytes_before"] == path.stat().st_size
+
+    def test_compaction_drops_duplicates_and_keeps_the_digest(
+        self, tmp_path
+    ):
+        from repro.engine.checkpoint import compact_checkpoint
+
+        path = tmp_path / "ck.jsonl"
+        SweepRunner(error_policy="fail_fast", checkpoint=path).run_grid(
+            SPECS[:1], ("csr",), partition_sizes=(8, 16)
+        )
+        reference = checkpoint_digest(path)
+        records = cell_records(path)
+        with path.open("a") as stream:
+            stream.write(json.dumps(records[0], sort_keys=True) + "\n")
+        before = path.stat().st_size
+        stats = compact_checkpoint(path)
+        assert stats["records_before"] == 3
+        assert stats["records_after"] == 2
+        assert stats["dropped"] == 1
+        assert stats["bytes_before"] == before
+        assert stats["bytes_after"] == path.stat().st_size < before
+        assert stats["digest"] == reference == checkpoint_digest(path)

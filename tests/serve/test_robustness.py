@@ -174,77 +174,6 @@ class TestMalformedTrafficResilience:
         asyncio.run(main())
 
 
-class TestAdvisorModelResilience:
-    """A bad ``advisor_model`` path must never take the server down.
-
-    Loading happens at construction; a missing or corrupt artifact is
-    counted as a typed load failure and the server simply runs with
-    the advisor disabled — every ``/advise`` query takes the exact
-    path.
-    """
-
-    def _advise_query(self) -> dict:
-        return {
-            "workload": {
-                "kind": "random", "n": 32, "density": 0.1, "seed": 1,
-            },
-            "formats": ["coo", "csr"],
-            "partitions": [8],
-            "objective": "latency",
-        }
-
-    def _assert_degraded_to_exact(self, model_path: str) -> None:
-        async def main() -> None:
-            async with running_server(
-                advisor_model=model_path
-            ) as server:
-                assert server.advisor is None
-                status, headers, body = await post_json(
-                    server, "advise", self._advise_query()
-                )
-                assert status == 200
-                assert headers["x-copernicus-source"] == "computed"
-                assert "cells" in json.loads(body)
-
-                _, _, metrics = await get_path(server, "/metrics")
-                payload = json.loads(metrics)
-                counters = payload["counters"]
-                assert counters["serve.advisor.load_failures"] == 1
-                assert counters[
-                    "serve.advisor.errors.AdvisorModelError"
-                ] == 1
-                assert payload["extra"]["advisor"]["enabled"] is False
-
-        asyncio.run(main())
-
-    def test_missing_model_file_degrades_to_exact(
-        self, tmp_path
-    ) -> None:
-        self._assert_degraded_to_exact(str(tmp_path / "absent.json"))
-
-    def test_corrupt_model_file_degrades_to_exact(
-        self, tmp_path
-    ) -> None:
-        path = tmp_path / "corrupt.json"
-        path.write_text('{"schema": "advisor_model/v1", "digest": "x"')
-        self._assert_degraded_to_exact(str(path))
-
-    def test_tampered_model_file_degrades_to_exact(
-        self, tmp_path
-    ) -> None:
-        from repro.advisor import save_model, sweep_training_rows, train_model
-        from tests.advisor.conftest import tiny_specs
-
-        specs = tiny_specs()[:2]
-        rows = sweep_training_rows(specs, ("coo", "csr"), (8,))
-        model = train_model(specs, rows)
-        payload = model.to_payload()
-        payload["heads"][0]["bias"] += 1.0
-        path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(payload))
-        self._assert_degraded_to_exact(str(path))
-
-
 class TestDurabilityFaultsRefused:
     """io_atomic hooks are process-global; a server's sweeps share them."""
 

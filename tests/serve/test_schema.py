@@ -198,8 +198,7 @@ class TestMetricsV1:
                 payload = json.loads(body)
                 assert set(payload) == METRICS_FIELDS
                 assert set(payload["extra"]) == {
-                    "server", "cache", "singleflight", "advisor",
-                    "guard",
+                    "server", "cache", "singleflight", "guard",
                 }
                 assert set(payload["extra"]["server"]) == {
                     "max_inflight", "queue_limit", "budget_s",
@@ -212,11 +211,6 @@ class TestMetricsV1:
                 }
                 assert set(payload["extra"]["singleflight"]) == {
                     "leaders", "coalesced", "failures",
-                }
-                assert payload["extra"]["advisor"] == {
-                    "enabled": False,
-                    "model": None,
-                    "margin_threshold": 0.05,
                 }
                 assert set(payload["extra"]["guard"]) == {
                     "enabled", "breakers", "shedder", "bulkheads",
