@@ -25,7 +25,8 @@ except ModuleNotFoundError:  # running from a source checkout
     )
 
 from repro.analysis import format_table
-from repro.core import Constraints, explore, pareto_frontier, recommend
+from repro.core import Constraints, explore, pareto_frontier
+from repro.core.recommend import recommend
 from repro.workloads import random_matrix
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.apps import embedding_reduction, spmm
-from repro.core import Constraints, recommend
+from repro.core.recommend import Constraints, recommend
 from repro.workloads import (
     embedding_access_matrix,
     embedding_access_trace,

@@ -149,7 +149,7 @@ def _compare(spec: WorkloadSpec, repeats: int) -> dict:
         _key(r): r.total_cycles for r in exact.candidates + exact.rejected
     }
     sampled_cycles = {
-        _key(r): r.total_cycles
+        _key(r): sampled.cycles(r)
         for r in sampled.candidates + sampled.rejected
     }
     keys = sorted(exact_cycles)

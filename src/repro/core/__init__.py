@@ -15,7 +15,6 @@ from .recommend import (
     Constraints,
     Objective,
     Recommendation,
-    recommend,
     recommend_from_results,
 )
 from .results import CharacterizationResult
@@ -51,7 +50,6 @@ __all__ = [
     "Constraints",
     "Objective",
     "Recommendation",
-    "recommend",
     "recommend_from_results",
     "CharacterizationResult",
     "SpmvSimulator",

@@ -125,10 +125,18 @@ class Recommendation:
         return self.best.partition_size
 
     def ranking(self) -> list[CharacterizationResult]:
-        """Feasible candidates, best first."""
+        """Feasible candidates, best first.
+
+        Latency ranks by :meth:`cycles`, the whole-matrix number a
+        sampled answer reports, not by the sample's own total.
+        """
         return sorted(
             self.candidates,
-            key=self.objective.value,
+            key=(
+                self.cycles
+                if self.objective.name == "latency"
+                else self.objective.value
+            ),
             reverse=_OBJECTIVES[self.objective.name][1],
         )
 
@@ -237,7 +245,8 @@ def recommend(
     )
     if sample_every == 1:
         return recommendation
-    return replace(recommendation, sample_every=sample_every)
+    sampled = replace(recommendation, sample_every=sample_every)
+    return replace(sampled, best=sampled.ranking()[0])
 
 
 def recommend_from_results(

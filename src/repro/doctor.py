@@ -20,7 +20,7 @@ remedy for each:
 ``orphan-owner``    ``.owner`` sidecar without its task → delete
 ``corrupt-task``    unreadable/undecodable task file → delete (the
                     coordinator re-derives tasks from the grid)
-``corrupt-done``    unparsable done marker → delete (treated as
+``corrupt-done``    invalid JSON done marker → delete (treated as
                     not-done; the work is re-dispatched or resumed)
 ``corrupt-blob``    blob whose bytes no longer match its content key
                     → delete (tasks referencing it will recompute)
@@ -54,7 +54,7 @@ from .engine.checkpoint import (
     _validate_header,
     load_checkpoint,
 )
-from .engine.distributed import QueueLayout, _decode_blob
+from .engine.distributed import QueueLayout, _decode_blob, _read_done
 from .errors import CheckpointError, DoctorError
 
 __all__ = [
@@ -258,17 +258,13 @@ def _audit_claims(
 
 
 def _audit_done(audit: _Audit, layout: QueueLayout) -> None:
-    """Remove done markers that cannot be parsed (half-trusted)."""
+    """Remove done markers the coordinator would not accept."""
     if not layout.done.is_dir():
         return
     for path in sorted(layout.done.glob("*.done")):
-        try:
-            json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+        if _read_done(path) is None:
             finding = audit.add(
-                "corrupt-done",
-                path,
-                f"{type(error).__name__}: {error}",
+                "corrupt-done", path, "unreadable or invalid done marker"
             )
             if audit.repair:
                 path.unlink(missing_ok=True)

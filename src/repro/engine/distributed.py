@@ -8,14 +8,15 @@ so the only requirement on the transport is POSIX rename semantics:
 ::
 
     queue/
-      queue.json    schema + pickled ExecutionSettings (workers read it)
+      queue.json    schema + ExecutionSettings as flat JSON (workers
+                    read it; the fault plan as its describe() string)
       tasks/        unclaimed task files: a<attempt>-s<shard>-<digest>.task
       claimed/      claimed tasks (atomically renamed out of tasks/)
                     + <digest>.owner sidecars naming the claiming worker
       leases/       <worker>.lease heartbeat files (touched per cell)
       results/      <worker>.jsonl per-worker shard checkpoints
-      done/         <digest>.done completion markers carrying the
-                    pickled chunk output
+      done/         <digest>.done JSON completion markers: worker,
+                    attempt, cache-stat delta, metrics, typed fatal error
       blobs/        content-addressed matrix blobs (StoredWorkload)
       workers/      <worker>.json registrations
       STOP          coordinator's shutdown signal to idle workers
@@ -44,7 +45,10 @@ checkpoints, cell-granular durability), and the coordinator merges
 the shards into the canonical checkpoint in ascending grid order —
 the order a ``max_workers=1`` sequential run writes — so
 :func:`~repro.engine.checkpoint.checkpoint_digest` comparison against
-a sequential checkpoint is the correctness gate.
+a sequential checkpoint is the correctness gate.  The merged shards
+are also the run's outcome: the coordinator returns results built
+from the same merged state it writes.  Done markers and
+``queue.json`` are plain JSON; only task files and blobs pickle.
 """
 
 from __future__ import annotations
@@ -60,11 +64,12 @@ import sys
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .. import io_atomic
-from ..errors import QueueError, SweepCellError
+from ..errors import QueueError, SweepCellError, SweepConfigError
+from ..observability import MetricsRegistry
 from ..workloads.registry import Workload
 from .cache import CacheStats, ContentKeyedCache, matrix_content_key
 from .checkpoint import CheckpointWriter, cell_digests, load_checkpoint
@@ -76,8 +81,9 @@ from .executors import (
     _ChunkOutput,
     _run_chunk,
 )
+from .faults import FaultPlan
 from .grid import FailedCell, SweepCell
-from .telemetry import workload_recipe_digest
+from .telemetry import CellTelemetry, workload_recipe_digest
 
 __all__ = [
     "QUEUE_KIND",
@@ -90,7 +96,7 @@ __all__ = [
 ]
 
 QUEUE_KIND = "copernicus-work-queue"
-QUEUE_SCHEMA = 1
+QUEUE_SCHEMA = 2
 
 
 def _encode_blob(obj) -> bytes:
@@ -109,12 +115,94 @@ def _decode_field(text: str):
     return _decode_blob(base64.b64decode(text))
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    io_atomic.atomic_write_bytes(path, data)
+#: ``queue.json``'s ``settings`` object: every ``ExecutionSettings``
+#: field with the JSON types it may hold (``faults`` is the plan's
+#: ``FaultPlan.describe()`` string).
+_SETTINGS_TYPES: dict[str, tuple[type, ...]] = {
+    "encode": (bool,),
+    "telemetry": (bool,),
+    "error_policy": (str,),
+    "faults": (str, type(None)),
+    "max_retries": (int,),
+    "chunk_timeout": (int, float, type(None)),
+    "max_workers": (int,),
+    "max_pool_restarts": (int, type(None)),
+}
+#: A ``done/<digest>.done`` marker's fields and their JSON types.
+_DONE_TYPES: dict[str, tuple[type, ...]] = {
+    "digest": (str,),
+    "worker": (str,),
+    "attempt": (int,),
+    "stolen": (bool,),
+    "cache": (dict,),
+    "metrics": (dict, type(None)),
+    "fatal": (dict, type(None)),
+}
+#: A marker's ``fatal`` object: :class:`SweepCellError`'s fields.
+_FATAL_TYPES: dict[str, tuple[type, ...]] = {
+    "coords": (list,),
+    "reason": (str,),
+    "traceback_text": (str,),
+    "recipe_digest": (str,),
+    "attempts": (int,),
+}
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    io_atomic.atomic_write_text(path, text)
+def _field_problem(obj, types: dict[str, tuple[type, ...]]) -> str:
+    """Why ``obj`` is not an object of exactly ``types``' fields, each
+    of an allowed JSON type; empty when it is."""
+    if not isinstance(obj, dict):
+        return f"expected an object, got {type(obj).__name__}"
+    missing = sorted(set(types) - set(obj))
+    unknown = sorted(set(obj) - set(types))
+    if missing or unknown:
+        return f"missing fields {missing}, unknown fields {unknown}"
+    for name, kinds in types.items():
+        if type(obj[name]) not in kinds:
+            return f"field {name!r} holds a {type(obj[name]).__name__}"
+    return ""
+
+
+def _read_done(path: Path) -> "dict | None":
+    """One done marker, validated and decoded; None if unusable.
+
+    An unreadable, unparsable or invalid marker reads as *not done*:
+    the coordinator skips it (the task's worker replaces it when it
+    finishes) and the doctor reports it as ``corrupt-done``.  In the
+    returned marker ``cache`` is a :class:`CacheStats`, ``metrics`` a
+    :class:`MetricsRegistry` or None, and ``fatal`` a
+    :class:`SweepCellError` or None.
+    """
+    try:
+        marker = json.loads(path.read_text(encoding="utf-8"))
+        cache, fatal = marker["cache"], marker["fatal"]
+        counts = [*cache["hits"].values(), *cache["misses"].values()]
+        if (
+            _field_problem(marker, _DONE_TYPES)
+            or set(cache) != {"hits", "misses"}
+            or any(type(count) is not int for count in counts)
+            or fatal is not None and (
+                _field_problem(fatal, _FATAL_TYPES)
+                or [type(c) for c in fatal["coords"]] != [str, str, int]
+            )
+        ):
+            return None
+        metrics = marker["metrics"]
+        return {
+            **marker,
+            "cache": CacheStats(dict(cache["hits"]), dict(cache["misses"])),
+            "metrics": None if metrics is None
+            else MetricsRegistry.from_snapshot(metrics),
+            "fatal": None if fatal is None else SweepCellError(
+                tuple(fatal["coords"]),
+                fatal["reason"],
+                traceback_text=fatal["traceback_text"],
+                recipe_digest=fatal["recipe_digest"],
+                attempts=fatal["attempts"],
+            ),
+        }
+    except (OSError, AttributeError, KeyError, TypeError, ValueError):
+        return None  # ValueError covers JSON and UTF-8 decode errors
 
 
 # ----------------------------------------------------------------------
@@ -209,20 +297,20 @@ class QueueLayout:
             (self.root / name).mkdir(exist_ok=True)
         if self.stop.exists():
             self.stop.unlink()
-        _atomic_write_text(
+        settings_json = {
+            field.name: getattr(settings, field.name)
+            for field in fields(settings)
+        }
+        if settings.faults is not None:
+            settings_json["faults"] = settings.faults.describe()
+        io_atomic.atomic_write_text(
             self.meta,
             json.dumps(
                 {
                     "kind": QUEUE_KIND,
                     "schema": QUEUE_SCHEMA,
                     "n_shards": n_shards,
-                    "settings": _encode_field(settings),
-                    "summary": {
-                        "encode": settings.encode,
-                        "telemetry": settings.telemetry,
-                        "error_policy": settings.error_policy,
-                        "max_retries": settings.max_retries,
-                    },
+                    "settings": settings_json,
                 },
                 sort_keys=True,
                 indent=2,
@@ -231,7 +319,11 @@ class QueueLayout:
         )
 
     def load_meta(self) -> tuple[ExecutionSettings, int]:
-        """Validate the directory is a compatible queue; load settings."""
+        """Validate the directory is a compatible queue; load settings.
+
+        Every settings field must be present with its JSON type; a
+        missing, unknown or mistyped field raises :class:`QueueError`.
+        """
         if not self.meta.exists():
             raise QueueError(
                 f"{self.root} is not a work queue (no queue.json); "
@@ -240,35 +332,41 @@ class QueueLayout:
             )
         try:
             meta = json.loads(self.meta.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:
             raise QueueError(
                 f"unreadable queue metadata {self.meta}: {error}"
             ) from error
-        if meta.get("kind") != QUEUE_KIND:
+        if not isinstance(meta, dict) or meta.get("kind") != QUEUE_KIND:
+            kind = meta.get("kind") if isinstance(meta, dict) else None
             raise QueueError(
-                f"{self.root}: not a work queue "
-                f"(kind={meta.get('kind')!r})"
+                f"{self.root}: not a work queue (kind={kind!r})"
             )
         if meta.get("schema") != QUEUE_SCHEMA:
             raise QueueError(
                 f"{self.root}: unsupported queue schema "
                 f"{meta.get('schema')!r} (expected {QUEUE_SCHEMA})"
             )
+        problem = _field_problem(meta.get("settings"), _SETTINGS_TYPES)
+        if type(meta.get("n_shards")) is not int or meta["n_shards"] < 1:
+            problem = problem or f"bad n_shards {meta.get('n_shards')!r}"
+        if problem:
+            raise QueueError(f"{self.root}: invalid queue.json: {problem}")
+        settings = dict(meta["settings"])
         try:
-            settings = _decode_field(meta["settings"])
-        except Exception as error:  # noqa: BLE001 — corrupt metadata
+            if settings["faults"] is not None:
+                settings["faults"] = FaultPlan.parse(settings["faults"])
+        except SweepConfigError as error:
             raise QueueError(
-                f"{self.root}: undecodable queue settings: "
-                f"{type(error).__name__}: {error}"
+                f"{self.root}: invalid queue.json fault plan: {error}"
             ) from error
-        return settings, int(meta.get("n_shards", 16))
+        return ExecutionSettings(**settings), meta["n_shards"]
 
     # ------------------------------------------------------------------
     def store_blob(self, matrix) -> str:
         key = matrix_content_key(matrix)
         path = self.blobs / f"{key}.blob"
         if not path.exists():
-            _atomic_write_bytes(path, _encode_blob(matrix))
+            io_atomic.atomic_write_bytes(path, _encode_blob(matrix))
         return key
 
     def task_name(self, attempt: int, shard: int, digest: str) -> str:
@@ -293,7 +391,7 @@ class QueueLayout:
             "chunk": _encode_field((chunk, digests)),
         }
         name = self.task_name(attempt, shard, chunk_digest)
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.tasks / name, json.dumps(record, sort_keys=True)
         )
 
@@ -305,7 +403,7 @@ class QueueLayout:
             os.rename(source, target)
         except OSError:
             return None
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.claimed / (name[: -len(".task")] + ".owner"),
             worker_id,
         )
@@ -338,7 +436,7 @@ class QueueLayout:
             return None
 
     def write_done(self, chunk_digest: str, marker: dict) -> None:
-        _atomic_write_text(
+        io_atomic.atomic_write_text(
             self.done / f"{chunk_digest}.done",
             json.dumps(marker, sort_keys=True),
         )
@@ -387,10 +485,10 @@ def run_worker(
     ``oneshot`` / ``max_chunks`` bounds the run), keeping one
     content-keyed cache across every chunk it executes so a stolen
     chunk still reuses blobs, profiles and encodings already loaded.
-    Every finished cell is appended to this worker's own shard
-    checkpoint ``results/<worker>.jsonl`` and heartbeats the worker's
-    lease; a chunk's completion is announced with a ``done`` marker
-    carrying the full pickled chunk output.  Returns worker stats.
+    Each claimed task runs through :func:`_run_task`, which records
+    it in this worker's own shard checkpoint
+    ``results/<worker>.jsonl`` and announces it with a JSON ``done``
+    marker.  Returns worker stats.
     """
     layout = QueueLayout(queue_dir)
     settings, n_shards = layout.load_meta()
@@ -406,7 +504,7 @@ def run_worker(
             f"poll_interval_s must be > 0, got {poll_interval_s}"
         )
     home = layout.home_shard(worker_id, n_shards)
-    _atomic_write_text(
+    io_atomic.atomic_write_text(
         layout.workers / f"{worker_id}.json",
         json.dumps(
             {
@@ -424,11 +522,8 @@ def run_worker(
     n_chunks = 0
     n_cells = 0
     n_stolen = 0
-    writer = CheckpointWriter(shard_path)
-    try:
-        while True:
-            if max_chunks is not None and n_chunks >= max_chunks:
-                break
+    with CheckpointWriter(shard_path) as writer:
+        while max_chunks is None or n_chunks < max_chunks:
             claimed = _claim_next(layout, worker_id, home, n_shards)
             if claimed is None:
                 if layout.stop.exists() or oneshot:
@@ -436,37 +531,15 @@ def run_worker(
                 layout.heartbeat(worker_id)
                 time.sleep(poll_interval_s)
                 continue
-            task_path, record, chunk, digests = claimed
-            stolen = int(record["shard"]) != home
-            n_stolen += stolen
-            layout.heartbeat(worker_id)
-            output = _execute_task(
-                layout,
-                settings,
-                cache,
-                writer,
-                worker_id,
-                record,
-                chunk,
-                digests,
+            marker = _run_task(
+                layout, settings, cache, writer, worker_id, home, claimed,
+                in_worker=True,
             )
             n_chunks += 1
-            n_cells += len(chunk)
-            marker = {
-                "digest": record["digest"],
-                "worker": worker_id,
-                "attempt": record["attempt"],
-                "stolen": stolen,
-                "payload": _encode_field(output),
-            }
-            if isinstance(output, SweepCellError):
-                marker["fatal"] = True
-            layout.write_done(record["digest"], marker)
-            _discard_claim(layout, task_path)
-            if isinstance(output, SweepCellError):
+            n_cells += len(claimed[2])
+            n_stolen += marker["stolen"]
+            if marker["fatal"] is not None:
                 break
-    finally:
-        writer.close()
     return {
         "worker": worker_id,
         "home_shard": home,
@@ -506,22 +579,29 @@ def _claim_next(
     return None
 
 
-def _execute_task(
+def _run_task(
     layout: QueueLayout,
     settings: ExecutionSettings,
     cache: ContentKeyedCache,
     writer: CheckpointWriter,
     worker_id: str,
-    record: dict,
-    chunk: _Chunk,
-    digests: list[str],
-):
-    """Run one claimed chunk; returns its output (or the fatal error).
+    home: int,
+    claimed: tuple,
+    in_worker: bool,
+) -> dict:
+    """Run one claimed task, record it in the shard, mark it done.
 
-    The worker's cache persists across chunks, so per-chunk cache
-    stats are reported as a *delta*: the stats object is swapped out
-    before the chunk runs while the memo store stays warm.
+    The one per-task path of queue workers (``in_worker=True``) and
+    of the degraded coordinator (``in_worker=False``, which re-raises
+    a fatal :class:`SweepCellError` instead of writing it into the
+    marker).  Every finished cell is appended to ``writer``'s shard
+    and heartbeats ``worker_id``'s lease; the chunk's encodings and
+    failures follow, then the JSON done marker, which is returned.
+    The cache persists across tasks, so the marker's cache stats are
+    a *delta*: the stats object is swapped out before the chunk runs
+    while the memo store stays warm.
     """
+    task_path, record, chunk, digests = claimed
     digest_by_index = {
         index: digest
         for (index, _cell), digest in zip(chunk, digests)
@@ -537,7 +617,9 @@ def _execute_task(
         )
         layout.heartbeat(worker_id)
 
-    cache.stats = CacheStats()  # per-chunk delta; memo store persists
+    layout.heartbeat(worker_id)
+    cache.stats = CacheStats()
+    metrics = fatal = None
     try:
         output = _run_chunk(
             chunk,
@@ -547,17 +629,41 @@ def _execute_task(
             error_policy=settings.error_policy,
             faults=settings.faults,
             attempt=int(record["attempt"]),
-            in_worker=True,
+            in_worker=in_worker,
             on_cell=on_cell,
         )
     except SweepCellError as error:
-        return error
-    _results, encodings, _stats, _spans, _metrics, failures = output
-    for summary in encodings.values():
-        writer.record_encoding(summary)
-    for failure in failures:
-        writer.record_failure(digest_by_index[failure.index], failure)
-    return output
+        if not in_worker:
+            _discard_claim(layout, task_path)
+            raise
+        fatal = error
+    else:
+        _results, encodings, _stats, _spans, metrics, failures = output
+        for summary in encodings.values():
+            writer.record_encoding(summary)
+        for failure in failures:
+            writer.record_failure(digest_by_index[failure.index], failure)
+    marker = {
+        "digest": record["digest"],
+        "worker": worker_id,
+        "attempt": int(record["attempt"]),
+        "stolen": int(record["shard"]) != home,
+        "cache": {
+            "hits": dict(cache.stats.hits),
+            "misses": dict(cache.stats.misses),
+        },
+        "metrics": None if metrics is None else metrics.snapshot(),
+        "fatal": None if fatal is None else {
+            "coords": list(fatal.coords),
+            "reason": fatal.reason,
+            "traceback_text": fatal.traceback_text,
+            "recipe_digest": fatal.recipe_digest,
+            "attempts": fatal.attempts,
+        },
+    }
+    layout.write_done(record["digest"], marker)
+    _discard_claim(layout, task_path)
+    return marker
 
 
 def _discard_claim(layout: QueueLayout, task_path: Path) -> None:
@@ -662,7 +768,8 @@ class QueueExecutor(SweepExecutor):
     spawned workers within a bounded budget, and degrading to
     in-process execution if workers keep dying.  Finally the
     per-worker shard checkpoints are merged into the canonical
-    checkpoint in grid order.
+    checkpoint in grid order, and that merged state comes back as the
+    run's single output, crash failures included.
     """
 
     def __init__(
@@ -761,8 +868,7 @@ class QueueExecutor(SweepExecutor):
         counters: dict[str, int] = {
             "sweep.queue.tasks": len(outstanding)
         }
-        outputs_by_digest: dict[str, _ChunkOutput] = {}
-        done_order: list[str] = []
+        markers: list[dict] = []
         crash_failures: list[FailedCell] = []
         fatal: "SweepCellError | None" = None
 
@@ -781,15 +887,10 @@ class QueueExecutor(SweepExecutor):
                 counters["sweep.queue.workers_spawned"] = len(processes)
 
             while outstanding and fatal is None:
-                progressed = self._collect_done(
-                    layout,
-                    outstanding,
-                    outputs_by_digest,
-                    done_order,
-                    counters,
+                fatal = self._collect_done(
+                    layout, outstanding, markers, counters
                 )
-                if progressed and isinstance(progressed, SweepCellError):
-                    fatal = progressed
+                if fatal is not None:
                     break
                 if not outstanding:
                     break
@@ -799,7 +900,7 @@ class QueueExecutor(SweepExecutor):
                 if options.speculate_factor is not None:
                     self._speculate(layout, outstanding, counters)
                 if degraded:
-                    self._run_degraded(layout, counters)
+                    self._run_degraded(layout)
                 elif target > 0:
                     # replace dead spawned workers within the budget;
                     # past it, stop trusting worker processes entirely
@@ -839,19 +940,12 @@ class QueueExecutor(SweepExecutor):
                 shutil.rmtree(root, ignore_errors=True)
             raise fatal
 
-        outputs = [
-            outputs_by_digest[digest] for digest in done_order
-        ]
-        outputs, crash_failures = self._dedupe(
-            outputs, crash_failures
+        output = self._merge_shards(
+            layout, sink, cells_by_digest, crash_failures, markers
         )
-        if sink is not None:
-            self._merge_shards(
-                layout, sink, cells_by_digest, crash_failures
-            )
         if not options.keep_queue and own_dir:
             shutil.rmtree(root, ignore_errors=True)
-        return outputs, crash_failures, counters
+        return [output], [], counters
 
     # -- pieces of the loop --------------------------------------------
     def _prepare_chunk(
@@ -886,10 +980,9 @@ class QueueExecutor(SweepExecutor):
         self,
         layout: QueueLayout,
         outstanding: dict[str, _Outstanding],
-        outputs_by_digest: dict[str, _ChunkOutput],
-        done_order: list[str],
+        markers: list[dict],
         counters: dict[str, int],
-    ):
+    ) -> "SweepCellError | None":
         """Absorb new done markers; returns a fatal error if one is."""
         try:
             names = sorted(
@@ -903,24 +996,19 @@ class QueueExecutor(SweepExecutor):
             digest = name[: -len(".done")]
             if digest not in outstanding:
                 continue
-            try:
-                marker = json.loads(
-                    (layout.done / name).read_text(encoding="utf-8")
-                )
-                payload = _decode_field(marker["payload"])
-            except Exception:  # noqa: BLE001 — half-written marker
-                continue  # picked up on the next poll
+            marker = _read_done(layout.done / name)
+            if marker is None:
+                continue  # not done until its worker writes a valid one
             task = outstanding.pop(digest)
             self._durations.append(time.time() - task.published_at)
             self._remove_task_files(layout, digest, task)
-            if marker.get("stolen"):
+            if marker["stolen"]:
                 counters["sweep.queue.steals"] = (
                     counters.get("sweep.queue.steals", 0) + 1
                 )
-            if isinstance(payload, SweepCellError):
-                return payload
-            outputs_by_digest[digest] = payload
-            done_order.append(digest)
+            if marker["fatal"] is not None:
+                return marker["fatal"]
+            markers.append(marker)
         return None
 
     def _remove_task_files(
@@ -1124,71 +1212,23 @@ class QueueExecutor(SweepExecutor):
             )
         )
 
-    def _run_degraded(
-        self, layout: QueueLayout, counters: dict[str, int]
-    ) -> None:
+    def _run_degraded(self, layout: QueueLayout) -> None:
         """No trustworthy workers left: the coordinator claims and
         executes remaining tasks itself, in-process."""
         worker_id = f"coordinator-{os.getpid()}"
-        home = layout.home_shard(worker_id, self.options.n_shards)
+        n_shards = self.options.n_shards
+        home = layout.home_shard(worker_id, n_shards)
         cache = ContentKeyedCache()
         shard_path = layout.results / f"{worker_id}.jsonl"
         with CheckpointWriter(shard_path) as writer:
             while True:
-                claimed = _claim_next(
-                    layout, worker_id, home, self.options.n_shards
-                )
+                claimed = _claim_next(layout, worker_id, home, n_shards)
                 if claimed is None:
                     return
-                task_path, record, chunk, digests = claimed
-                digest_by_index = {
-                    index: digest
-                    for (index, _c), digest in zip(chunk, digests)
-                }
-
-                def on_cell(index, cell, result, wall_s, matrix_key):
-                    writer.record_result(
-                        digest_by_index[index],
-                        cell,
-                        result,
-                        wall_s=wall_s,
-                        cache_key=matrix_key,
-                    )
-
-                cache.stats = CacheStats()
-                try:
-                    output = _run_chunk(
-                        chunk,
-                        self.settings.encode,
-                        cache,
-                        telemetry=self.settings.telemetry,
-                        error_policy=self.settings.error_policy,
-                        faults=self.settings.faults,
-                        attempt=int(record["attempt"]),
-                        in_worker=False,
-                        on_cell=on_cell,
-                    )
-                except SweepCellError:
-                    _discard_claim(layout, task_path)
-                    raise
-                _res, encodings, _st, _sp, _me, failures = output
-                for summary in encodings.values():
-                    writer.record_encoding(summary)
-                for failure in failures:
-                    writer.record_failure(
-                        digest_by_index[failure.index], failure
-                    )
-                layout.write_done(
-                    record["digest"],
-                    {
-                        "digest": record["digest"],
-                        "worker": worker_id,
-                        "attempt": record["attempt"],
-                        "stolen": False,
-                        "payload": _encode_field(output),
-                    },
+                _run_task(
+                    layout, self.settings, cache, writer, worker_id,
+                    home, claimed, in_worker=False,
                 )
-                _discard_claim(layout, task_path)
 
     def _shutdown_workers(
         self, processes: list[subprocess.Popen]
@@ -1205,137 +1245,86 @@ class QueueExecutor(SweepExecutor):
                     process.kill()
                     process.wait()
 
-    def _dedupe(
-        self,
-        outputs: list[_ChunkOutput],
-        crash_failures: list[FailedCell],
-    ) -> tuple[list[_ChunkOutput], list[FailedCell]]:
-        """Drop duplicate records left by premature lease reclaims.
-
-        Duplicate executions are *identical* (cells are deterministic)
-        so any copy can win; a failure is dropped whenever some
-        execution of the same cell produced a result.
-        """
-        succeeded = {
-            index
-            for output in outputs
-            for index, _result in output[0]
-        }
-        failures_by_index: dict[int, FailedCell] = {}
-        cleaned_outputs: list[_ChunkOutput] = []
-        seen_results: set = set()
-        for output in outputs:
-            results, encodings, stats, spans, metrics, failures = output
-            kept = [
-                (index, result)
-                for index, result in results
-                if index not in seen_results
-            ]
-            kept_indices = {index for index, _ in kept}
-            seen_results.update(kept_indices)
-            kept_spans = (
-                [s for s in spans if s.index in kept_indices]
-                if spans is not None
-                else None
-            )
-            for failure in failures:
-                if failure.index in succeeded:
-                    continue
-                previous = failures_by_index.get(failure.index)
-                if (
-                    previous is None
-                    or failure.attempts >= previous.attempts
-                ):
-                    failures_by_index[failure.index] = failure
-            cleaned_outputs.append(
-                (kept, encodings, stats, kept_spans, metrics, [])
-            )
-        for failure in crash_failures:
-            if failure.index in succeeded:
-                continue
-            failures_by_index[failure.index] = failure
-        ordered = [
-            failures_by_index[index]
-            for index in sorted(failures_by_index)
-        ]
-        # in-cell failures ride on the last output so the runner's
-        # ordinary merge keeps working; crash failures return separately
-        cell_failures = [
-            f for f in ordered if f.error_type != "WorkerCrashError"
-        ]
-        lost_failures = [
-            f for f in ordered if f.error_type == "WorkerCrashError"
-        ]
-        if cell_failures:
-            if cleaned_outputs:
-                last = cleaned_outputs[-1]
-                cleaned_outputs[-1] = (
-                    last[0],
-                    last[1],
-                    last[2],
-                    last[3],
-                    last[4],
-                    cell_failures,
-                )
-            else:
-                lost_failures = ordered
-        return cleaned_outputs, lost_failures
-
     def _merge_shards(
         self,
         layout: QueueLayout,
-        sink: CheckpointSink,
+        sink: "CheckpointSink | None",
         cells_by_digest: dict[str, tuple[int, SweepCell]],
         crash_failures: list[FailedCell],
-    ) -> None:
-        """Hierarchical checkpoint merge: worker shards -> canonical.
+        markers: list[dict],
+    ) -> _ChunkOutput:
+        """The run's outcome: every worker shard merged into one state.
 
-        Each shard already deduplicates to the latest record per cell
-        digest on load; merging the shards and writing the surviving
-        records in **ascending grid order** — the exact record order a
-        sequential run produces — makes ``checkpoint_digest`` equality
-        against a ``max_workers=1`` checkpoint the distributed
-        correctness gate.  Failures superseded by another worker's
-        success (a reclaimed task whose cells a second worker finished)
-        are dropped here, mirroring the loader's semantics.
+        Each shard keeps its latest record per cell digest on load.
+        Across shards and the coordinator's crash failures one rule
+        holds: a success beats any failure (a reclaimed task whose
+        cells another worker finished), and among failures the one
+        with the most ``attempts`` wins.  The merged state goes to
+        ``sink`` in **ascending grid order** — the exact record order
+        a sequential run produces — which makes ``checkpoint_digest``
+        equality against a ``max_workers=1`` checkpoint the
+        distributed correctness gate.  The returned output is the same
+        state: spans from each record's ``wall_s``/``cache_key`` (as
+        resume replay builds them), cache stats and metrics summed
+        over the done markers.
         """
         io_atomic.fire("queue.merge", layout.root)
-        merged: dict = {}
-        merged_encodings: dict = {}
-        merged_failures: dict = {}
-        try:
-            shard_paths = sorted(layout.results.glob("*.jsonl"))
-        except OSError:
-            shard_paths = []
-        for shard_path in shard_paths:
+        results: dict = {}
+        encodings: dict = {}
+        candidates: list[tuple[str, FailedCell]] = []
+        for shard_path in sorted(layout.results.glob("*.jsonl")):
             state = load_checkpoint(shard_path)
-            merged.update(state.results)
-            merged_encodings.update(state.encodings)
-            for digest, failure in state.failures.items():
-                merged_failures[digest] = failure
-        ordered = sorted(
-            (index, digest)
-            for digest, (index, _cell) in cells_by_digest.items()
-            if digest in merged
-        )
-        for index, digest in ordered:
-            result, wall_s, cache_key = merged[digest]
-            _index, cell = cells_by_digest[digest]
-            sink.writer.record_result(
-                digest,
-                cell,
-                result,
-                wall_s=wall_s,
-                cache_key=cache_key,
-            )
-        for key in sorted(merged_encodings):
-            sink.record_encoding(key, merged_encodings[key])
-        for digest in sorted(merged_failures):
-            if digest in merged or digest not in cells_by_digest:
+            results.update(state.results)
+            encodings.update(state.encodings)
+            candidates.extend(state.failures.items())
+        digest_of = {
+            index: digest for digest, (index, _cell) in cells_by_digest.items()
+        }
+        candidates += [(digest_of[f.index], f) for f in crash_failures]
+        failures: dict[str, FailedCell] = {}
+        for digest, failure in candidates:
+            if digest in results or digest not in cells_by_digest:
                 continue
-            sink.writer.record_failure(digest, merged_failures[digest])
-        for failure in crash_failures:
-            if 0 <= failure.index < len(sink.digests):
-                digest = sink.digests[failure.index]
-                if digest not in merged:
-                    sink.writer.record_failure(digest, failure)
+            previous = failures.get(digest)
+            if previous is None or failure.attempts >= previous.attempts:
+                failures[digest] = failure
+
+        ordered = sorted(
+            (cells_by_digest[digest][0], digest)
+            for digest in results
+            if digest in cells_by_digest
+        )
+        spans = []
+        for index, digest in ordered:
+            result, wall_s, cache_key = results[digest]
+            cell = cells_by_digest[digest][1]
+            spans.append(
+                CellTelemetry(
+                    index=index,
+                    workload=result.workload,
+                    format_name=cell.format_name,
+                    partition_size=cell.partition_size,
+                    cache_key=cache_key,
+                    wall_s=wall_s,
+                )
+            )
+        telemetry = self.settings.telemetry
+        stats = CacheStats()
+        metrics = MetricsRegistry() if telemetry else None
+        for marker in markers:
+            stats = stats.merged(marker["cache"])
+            if metrics is not None and marker["metrics"] is not None:
+                metrics = metrics.merged(marker["metrics"])
+        output = (
+            [(index, results[digest][0]) for index, digest in ordered],
+            dict(sorted(encodings.items())),
+            stats,
+            spans,
+            metrics,
+            sorted(failures.values(), key=lambda failure: failure.index),
+        )
+        if sink is not None:
+            # the spans carry each cell's wall_s and cache_key, which
+            # the checkpoint keeps with or without telemetry
+            sink.record_chunk(list(cells_by_digest.values()), output)
+        return output if telemetry else (*output[:3], None, *output[4:])

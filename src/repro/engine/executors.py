@@ -366,8 +366,8 @@ class CheckpointSink:
     the grid's per-index cell digests and encoding dedup, so backends
     record results without knowing checkpoint record formats.  The
     inline executor records cell-by-cell (crash leaves every finished
-    cell behind); pool and queue record chunk-by-chunk as the parent
-    sees each chunk's output.
+    cell behind); the pool records chunk-by-chunk as the parent sees
+    each chunk's output; the queue records its merged worker shards.
     """
 
     def __init__(

@@ -69,8 +69,8 @@ Process roles matter for fatal clauses: in a **worker** they call
 ``os._exit`` (a real ``kill -9`` as far as durability is concerned);
 on the **coordinator** a durability crash or tear raises
 :class:`~repro.errors.ChaosCrash` so a harness survives to run
-recovery.  Queue workers receive the plan through the pickled
-:class:`~repro.engine.executors.ExecutionSettings` in ``queue.json``.
+recovery.  Queue workers receive the plan as its :meth:`describe`
+string among the settings in ``queue.json``.
 """
 
 from __future__ import annotations

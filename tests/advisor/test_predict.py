@@ -21,8 +21,10 @@ from repro.core.recommend import (
     band_sample,
     recommend,
 )
+from repro.bench_advisor import SUITE, _suite_specs
 from repro.engine.specs import WorkloadSpec
 from repro.errors import ShapeError, SimulationError
+from repro.formats.registry import PAPER_FORMATS
 from repro.matrix import SparseMatrix
 from repro.partition import PROFILE_COLUMNS, profile_table
 
@@ -161,6 +163,20 @@ class TestFastRecommend:
         )
         assert fast.sample_every == SAMPLE_EVERY
         assert fast.ranking()[0] == fast.best
+
+    def test_latency_ranks_by_the_printed_cycles(self) -> None:
+        # the 18 matrices of `repro bench advisor`
+        unsorted = []
+        for spec in _suite_specs(SUITE.seed):
+            fast = recommend(
+                spec.build().matrix, formats=PAPER_FORMATS, fast=True
+            )
+            assert fast.sample_every == SAMPLE_EVERY
+            assert fast.ranking()[0] == fast.best
+            cycles = [fast.cycles(result) for result in fast.ranking()]
+            if cycles != sorted(cycles):
+                unsorted.append(spec.name)
+        assert unsorted == []
 
 
 class TestCoverage:

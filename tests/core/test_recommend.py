@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro.core.recommend import (
@@ -13,6 +15,13 @@ from repro.core.recommend import (
 from repro.errors import SimulationError
 from repro.matrix import SparseMatrix
 from repro.workloads import band_matrix, random_matrix
+
+
+def test_the_submodule_is_not_shadowed_by_its_function():
+    import repro.core.recommend as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.recommend is recommend
 
 
 class TestObjective:

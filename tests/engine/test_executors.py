@@ -138,6 +138,13 @@ class TestBackendEquivalence:
         assert outcome.telemetry is not None
         indices = {span.index for span in outcome.telemetry.cells}
         assert indices == set(range(len(SPECS) * 2 * 2))
+        metrics = outcome.telemetry.metrics
+        assert metrics.counter("sweep.cells") == len(SPECS) * 2 * 2
+        misses = metrics.counters_with_prefix("cache.")
+        assert sum(
+            count for name, count in misses.items()
+            if name.endswith(".misses")
+        ) > 0
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import SpmvSimulator, recommend
+from repro.core import SpmvSimulator
+from repro.core.recommend import recommend
 from repro.formats import PAPER_FORMATS
 from repro.hardware import HardwareConfig
 from repro.workloads import (

@@ -14,12 +14,12 @@ from repro.apps import (
 )
 from repro.core import (
     load_records,
-    recommend,
     records_by,
     save_results,
     summarize,
     sweep_formats,
 )
+from repro.core.recommend import recommend
 from repro.formats import PAPER_FORMATS, get_format
 from repro.hardware import build_listing, schedule_cycles, trace_pipeline
 from repro.io import read_matrix_market, write_matrix_market
