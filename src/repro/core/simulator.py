@@ -8,13 +8,14 @@ every metric the paper reports.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from ..errors import SimulationError
 from ..hardware.config import DEFAULT_CONFIG, HardwareConfig
 from ..hardware.pipeline import StreamingPipeline
-from ..hardware.power import estimate_power
-from ..hardware.resources import estimate_resources
+from ..hardware.power import PowerBreakdown, estimate_power
+from ..hardware.resources import ResourceEstimate, estimate_resources
 from ..matrix import SparseMatrix
 from ..partition import (
     PartitionProfile,
@@ -25,6 +26,19 @@ from ..partition import (
 from .results import CharacterizationResult
 
 __all__ = ["SpmvSimulator", "characterize"]
+
+
+@lru_cache(maxsize=256)
+def _static_estimates(
+    format_name: str, config: HardwareConfig
+) -> tuple[ResourceEstimate, PowerBreakdown]:
+    """Resources and power, which depend on nothing but (format, config).
+
+    Both are frozen, so every result of a sweep slice shares one pair.
+    The estimators are looked up by name per miss, so wrappers see them.
+    """
+    resources = estimate_resources(format_name, config)
+    return resources, estimate_power(format_name, config, resources)
 
 
 class SpmvSimulator:
@@ -82,7 +96,7 @@ class SpmvSimulator:
         result = pipeline.run(profiles)
         dense_cycles = self.dense_compute_cycles(len(profiles))
         sigma = result.compute_cycles / dense_cycles
-        resources = estimate_resources(format_name, self.config)
+        resources, power = _static_estimates(format_name, self.config)
         return CharacterizationResult(
             workload=workload,
             format_name=format_name,
@@ -92,7 +106,7 @@ class SpmvSimulator:
             size=result.transferred,
             clock_mhz=self.config.clock_mhz,
             resources=resources,
-            power=estimate_power(format_name, self.config, resources),
+            power=power,
         )
 
     def characterize(

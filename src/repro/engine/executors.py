@@ -46,6 +46,7 @@ from ..formats.base import VALUE_BYTES
 from ..formats.corrupt import CorruptionSpec, StreamCorruptor
 from ..formats.integrity import safe_decode
 from ..formats.registry import get_format
+from ..hardware.config import HardwareConfig
 from ..observability import MetricsRegistry
 from ..partition import profile_table
 from ..workloads.registry import Workload
@@ -144,16 +145,17 @@ def _corrupt_workload(
 def _run_cell(
     cell: SweepCell,
     cache: ContentKeyedCache,
+    config: HardwareConfig,
     corruption: CorruptionSpec | None = None,
 ) -> tuple[CharacterizationResult, str]:
     """Characterize one cell; returns the result and its matrix key.
 
-    Streamed cells profile their matrix tile-by-tile through
+    ``config`` is the cell's ``resolved_config``.  Streamed cells
+    profile their matrix tile-by-tile through
     :func:`~repro.io.streaming_profile_table` (keyed by the file's
     content digest) instead of materializing it; everything downstream
     of the :class:`~repro.partition.ProfileTable` is identical.
     """
-    config = cell.resolved_config
     workload = cell.workload
     if isinstance(workload, StreamedMatrixSpec):
         if corruption is not None:
@@ -284,6 +286,9 @@ def _run_chunk(
     )
     timed = telemetry or on_cell is not None
     chunk_start = time.perf_counter() if telemetry else 0.0
+    # grids run workload -> p -> format, so a slice's formats are
+    # adjacent and share one resolved config
+    base, p = None, 0
     for index, cell in chunk:
         cell_start = time.perf_counter() if timed else 0.0
         try:
@@ -295,7 +300,10 @@ def _run_chunk(
                 corruption = faults.corruption_for(
                     cell.coords, index, attempt
                 )
-            result, matrix_key = _run_cell(cell, cache, corruption)
+            if cell.config is not base or cell.partition_size != p:
+                config = cell.resolved_config
+                base, p = cell.config, cell.partition_size
+            result, matrix_key = _run_cell(cell, cache, config, corruption)
             if encode:
                 summary = _encode_cell(cell, cache)
                 encodings[(summary.workload, summary.format_name)] = summary

@@ -152,8 +152,11 @@ class DecompressorModel(ABC):
     ) -> list[int]:
         """Byte payloads assigned to the parallel AXIS lines.
 
-        Default split: values on one line, metadata on the other —
-        the slower line defines memory latency (Section 5.2).
+        Default split: values on one line, metadata on the other
+        (Section 5.2).  The lines share one DDR3 channel, so only their
+        sum matters: an override may split the bytes differently, but
+        its payloads must sum to ``transfer_size(...).total_bytes``,
+        which is what the batch path streams.
         """
         size = self.transfer_size(profile, config)
         return [size.data_bytes, size.metadata_bytes]
@@ -198,34 +201,6 @@ class DecompressorModel(ABC):
         return SizeColumns(
             useful_bytes=useful, data_bytes=data, metadata_bytes=metadata
         )
-
-    def stream_lines_batch(
-        self, table: ProfileTable, config: HardwareConfig
-    ) -> np.ndarray:
-        """Per-tile AXIS line payloads as an ``(n_lines, n)`` array.
-
-        Default split mirrors :meth:`stream_lines`: row 0 carries the
-        values stream, row 1 the metadata stream.  Models overriding
-        the scalar split must override this too (or inherit this
-        generic fallback, which loops the scalar method whenever the
-        scalar split is overridden).
-        """
-        if type(self).stream_lines is DecompressorModel.stream_lines:
-            size = self.transfer_size_batch(table, config)
-            return np.stack([size.data_bytes, size.metadata_bytes])
-        self._check_table(table, config)
-        lines = [
-            self.stream_lines(profile, config)
-            for profile in table.profiles()
-        ]
-        if len({len(payloads) for payloads in lines}) == 1 and lines:
-            return np.asarray(lines, dtype=np.int64).T
-        # ragged line counts: collapse to one aggregate line per tile
-        # (the AXI model is bounded by the summed payload either way)
-        totals = np.asarray(
-            [sum(payloads) for payloads in lines], dtype=np.int64
-        )
-        return totals[np.newaxis, :]
 
     def _check_profile(
         self, profile: PartitionProfile, config: HardwareConfig

@@ -139,11 +139,10 @@ class MultiLanePipeline:
         if table is None or table.n_tiles == 0:
             compute_cycles = memory_cycles = ()
         else:
-            lines = self.decompressor.stream_lines_batch(
-                table, self.config
-            )
             memory_cycles = self.axi.transfer_cycles_batch(
-                lines.sum(axis=0)
+                self.decompressor.transfer_size_batch(
+                    table, self.config
+                ).total_bytes
             )
             compute_cycles = self.decompressor.compute_batch(
                 table, self.config

@@ -388,15 +388,14 @@ class StreamingPipeline:
         table = resolve_profile_table(self.config, profiles)
         if table is None or table.n_tiles == 0:
             return self._empty_result()
-        lines = self.decompressor.stream_lines_batch(table, self.config)
-        total_bytes = lines.sum(axis=0)
+        sizes = self.decompressor.transfer_size_batch(table, self.config)
+        total_bytes = sizes.total_bytes
         memory = self.axi.transfer_cycles_batch(total_bytes)
         if self.integrity is not None:
             memory = self.integrity.checked_transfer_cycles_batch(
                 memory, total_bytes
             )
         compute = self.decompressor.compute_batch(table, self.config)
-        sizes = self.decompressor.transfer_size_batch(table, self.config)
         return PipelineResult(
             format_name=self.decompressor.name,
             partition_size=self.config.partition_size,

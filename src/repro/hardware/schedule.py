@@ -68,8 +68,9 @@ def partition_costs(
     if table is None or table.n_tiles == 0:
         return []
     axi = AxiStreamModel(config)
-    lines = decompressor.stream_lines_batch(table, config)
-    memory = axi.transfer_cycles_batch(lines.sum(axis=0))
+    memory = axi.transfer_cycles_batch(
+        decompressor.transfer_size_batch(table, config).total_bytes
+    )
     compute = decompressor.compute_batch(table, config).total_cycles
     return [
         PartitionCost(

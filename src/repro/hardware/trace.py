@@ -231,8 +231,9 @@ def trace_pipeline(
         mem_cycles = np.empty(0, dtype=np.int64)
         comp_cycles = np.empty(0, dtype=np.int64)
     else:
-        lines = decompressor.stream_lines_batch(table, config)
-        total_bytes = lines.sum(axis=0)
+        total_bytes = decompressor.transfer_size_batch(
+            table, config
+        ).total_bytes
         mem_cycles = axi.transfer_cycles_batch(total_bytes)
         if config.integrity_check:
             mem_cycles = IntegrityCheckModel(

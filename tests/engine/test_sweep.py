@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,9 @@ from repro.engine import (
     run_sweep,
     workload_recipe_digest,
 )
+from repro.core.simulator import SpmvSimulator
 from repro.errors import CopernicusError, SweepCellError, SweepConfigError
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.observability import read_manifest
 from repro.formats import PAPER_FORMATS
 from repro.partition import PARTITION_SIZES
@@ -155,6 +158,32 @@ class TestRunnerEquivalence:
         from_specs = run_sweep(specs, ("csr", "dia"), (16,))
         from_workloads = run_sweep(small_workloads(), ("csr", "dia"), (16,))
         assert from_specs.results == from_workloads.results
+
+    def test_slice_reuse_keys_on_the_whole_config(self):
+        """Configs differing only outside ``partition_size`` never share
+        a resolved config or a static estimate, even in adjacent cells."""
+        checked = replace(
+            DEFAULT_CONFIG, integrity_check=True, clock_mhz=200.0
+        )
+        cells = [
+            SweepCell(workload, name, p, config)
+            for workload in small_workloads()
+            for p in (8, 16)
+            for config in (DEFAULT_CONFIG, checked)
+            for name in ("csr", "coo")
+        ]
+        results = SweepRunner().run(cells).results
+        assert len(results) == len(cells)
+        by_cell = {}
+        for cell, result in zip(cells, results):
+            assert result == SpmvSimulator(cell.resolved_config).characterize(
+                cell.workload.matrix, cell.format_name, cell.workload_name
+            )
+            by_cell[cell.coords, cell.config] = result
+        for coords in {cell.coords for cell in cells}:
+            plain = by_cell[coords, DEFAULT_CONFIG]
+            assert plain.resources is not by_cell[coords, checked].resources
+            assert plain.power is not by_cell[coords, checked].power
 
     def test_empty_grid(self):
         outcome = SweepRunner().run([])
