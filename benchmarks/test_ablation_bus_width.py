@@ -33,7 +33,7 @@ def build_series():
             HardwareConfig(partition_size=16), axi_bytes_per_cycle=bus
         )
         simulator = SpmvSimulator(config)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         for name in FORMATS:
             result = simulator.run_format(name, profiles, "rand-0.05")
             series[name].append(result.total_cycles)

@@ -41,7 +41,7 @@ def build_results():
         ("graph", matrix),
         ("rand-0.4", random_matrix(1024, 0.4, seed=0)),
     ):
-        profiles = simulator.profiles(workload)
+        profiles = simulator.profile_table(workload)
         for name in ("ell", "ell+coo", "jds"):
             variants[(workload_name, name)] = simulator.run_format(
                 name, profiles, workload_name

@@ -29,7 +29,7 @@ def build_series():
             HardwareConfig(partition_size=16), index_bytes=width
         )
         simulator = SpmvSimulator(config)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         for name in FORMATS:
             result = simulator.run_format(name, profiles, "rand-0.05")
             series[name].append(result.bandwidth_utilization)

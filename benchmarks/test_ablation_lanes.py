@@ -14,7 +14,7 @@ from conftest import FORMATS, config_at
 
 from repro.analysis import grouped_series
 from repro.hardware.multi import MultiLanePipeline
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import random_matrix
 
 LANES = (1, 2, 4, 8, 16)
@@ -22,7 +22,7 @@ LANES = (1, 2, 4, 8, 16)
 
 def build_series():
     matrix = random_matrix(1024, 0.2, seed=0)
-    profiles = profile_partitions(matrix, 16)
+    profiles = profile_table(matrix, 16)
     config = config_at(16)
     speedups = {name: [] for name in FORMATS}
     bounds = {}

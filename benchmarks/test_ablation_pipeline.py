@@ -17,7 +17,7 @@ from conftest import config_at
 
 from repro.analysis import format_table
 from repro.hardware import trace_pipeline
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import random_matrix
 
 
@@ -33,7 +33,7 @@ def build_rows():
     )
     for name, p, density in cases:
         matrix = random_matrix(1024, density, seed=0)
-        profiles = profile_partitions(matrix, p)
+        profiles = profile_table(matrix, p)
         trace = trace_pipeline(config_at(p), name, profiles)
         rows.append(
             [

@@ -24,7 +24,7 @@ def build_series():
     sigma = {name: [] for name in FORMATS}
     for density in PAPER_DENSITIES:
         matrix = random_matrix(1024, density, seed=0)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         for name in FORMATS:
             result = simulator.run_format(name, profiles, f"d={density}")
             series[name].append(result.bandwidth_utilization)

@@ -20,7 +20,7 @@ from repro.workloads import random_matrix
 def build_rows():
     matrix = random_matrix(1024, 0.2, seed=0)
     simulator = SpmvSimulator(config_at(16))
-    profiles = simulator.profiles(matrix)
+    profiles = simulator.profile_table(matrix)
     rows = []
     for name in FORMATS:
         result = simulator.run_format(name, profiles, "rand-0.2")

@@ -21,8 +21,8 @@ def build_rows():
     matrix = band_matrix(1024, 8, seed=0)
     shuffled = permute_symmetric(matrix, seed=1)
     simulator = SpmvSimulator(config_at(16))
-    structured = simulator.profiles(matrix)
-    destroyed = simulator.profiles(shuffled)
+    structured = simulator.profile_table(matrix)
+    destroyed = simulator.profile_table(shuffled)
     rows = []
     for name in FORMATS:
         before = simulator.run_format(name, structured, "band")

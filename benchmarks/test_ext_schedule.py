@@ -15,14 +15,14 @@ from conftest import FORMATS, config_at
 
 from repro.analysis import format_table
 from repro.hardware.schedule import schedule_gain
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import band_matrix, random_matrix
 
 
 def build_rows():
     background = random_matrix(1024, 0.01, seed=0)
     band = band_matrix(1024, 32, seed=1)
-    profiles = profile_partitions(background.add(band), 16)
+    profiles = profile_table(background.add(band), 16)
     config = config_at(16)
     rows = []
     for name in FORMATS:

@@ -25,7 +25,7 @@ def build_table(groups):
             simulator = SpmvSimulator(config_at(p))
             sums = {name: 0.0 for name in FORMATS}
             for load in workloads:
-                profiles = simulator.profiles(load.matrix)
+                profiles = simulator.profile_table(load.matrix)
                 for name in FORMATS:
                     result = simulator.run_format(name, profiles, load.name)
                     sums[name] += result.bandwidth_utilization

@@ -23,7 +23,7 @@ def build_points(groups):
         for p in PARTITION_SIZES:
             simulator = SpmvSimulator(config_at(p))
             profile_cache = [
-                simulator.profiles(load.matrix) for load in workloads
+                simulator.profile_table(load.matrix) for load in workloads
             ]
             for name in FORMATS:
                 mem = comp = 0

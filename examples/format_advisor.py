@@ -35,7 +35,7 @@ def advise(name: str, matrix: SparseMatrix) -> None:
     results = []
     for p in (8, 16, 32):
         simulator = SpmvSimulator(HardwareConfig(partition_size=p))
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         results.extend(
             simulator.run_format(fmt, profiles, workload=name)
             for fmt in PAPER_FORMATS

@@ -24,7 +24,7 @@ except ModuleNotFoundError:  # running from a source checkout
 
 import numpy as np
 
-from repro import HardwareConfig, profile_partitions
+from repro import HardwareConfig, profile_table
 from repro.analysis import format_table, render_timeline
 from repro.apps import (
     breadth_first_search,
@@ -73,7 +73,7 @@ def main() -> None:
     # accelerator; compare the timeline of a matched vs a mismatched
     # format on exactly that operand.
     config = HardwareConfig(partition_size=16)
-    profiles = profile_partitions(graph, 16)
+    profiles = profile_table(graph, 16)
     print("Streaming the adjacency matrix, per format:")
     print()
     rows = []

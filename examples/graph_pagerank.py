@@ -59,7 +59,7 @@ def main() -> None:
     # characterize the operand the iterations actually stream.
     operand = transition_matrix(graph)
     simulator = SpmvSimulator(HardwareConfig(partition_size=16))
-    profiles = simulator.profiles(operand)
+    profiles = simulator.profile_table(operand)
     rows = []
     for name in SPARSE_FORMATS:
         spmv = simulator.run_format(name, profiles, workload="pagerank")

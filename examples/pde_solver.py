@@ -56,7 +56,7 @@ def main() -> None:
 
     # which format should carry this solver on the accelerator?
     simulator = SpmvSimulator(HardwareConfig(partition_size=16))
-    profiles = simulator.profiles(matrix)
+    profiles = simulator.profile_table(matrix)
     rows = []
     for name in SPARSE_FORMATS:
         spmv = simulator.run_format(name, profiles, workload="poisson")

@@ -76,7 +76,7 @@ def main() -> None:
     rows = []
     for p in (8, 16, 32):
         simulator = SpmvSimulator(HardwareConfig(partition_size=p))
-        profiles = simulator.profiles(weights)
+        profiles = simulator.profile_table(weights)
         for name in ("bcsr", "csr", "coo", "ell"):
             result = simulator.run_format(name, profiles, workload="ml")
             rows.append(

@@ -55,7 +55,6 @@ from .partition import (
     ProfileTable,
     partition_matrix,
     partition_statistics,
-    profile_partitions,
     profile_table,
 )
 
@@ -104,6 +103,5 @@ __all__ = [
     "ProfileTable",
     "partition_matrix",
     "partition_statistics",
-    "profile_partitions",
     "profile_table",
 ]

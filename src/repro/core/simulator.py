@@ -17,12 +17,7 @@ from ..hardware.pipeline import StreamingPipeline
 from ..hardware.power import PowerBreakdown, estimate_power
 from ..hardware.resources import ResourceEstimate, estimate_resources
 from ..matrix import SparseMatrix
-from ..partition import (
-    PartitionProfile,
-    ProfileTable,
-    profile_partitions,
-    profile_table,
-)
+from ..partition import PartitionProfile, ProfileTable, profile_table
 from .results import CharacterizationResult
 
 __all__ = ["SpmvSimulator", "characterize"]
@@ -55,16 +50,8 @@ class SpmvSimulator:
         self.config = config
 
     # ------------------------------------------------------------------
-    def profiles(self, matrix: SparseMatrix) -> list[PartitionProfile]:
-        """Profile the matrix's non-zero partitions (reusable)."""
-        return profile_partitions(
-            matrix,
-            self.config.partition_size,
-            block_size=self.config.block_size,
-        )
-
     def profile_table(self, matrix: SparseMatrix) -> ProfileTable:
-        """Columnar profile of the non-zero partitions (the fast path)."""
+        """Columnar profile of the non-zero partitions (reusable)."""
         return profile_table(
             matrix,
             self.config.partition_size,

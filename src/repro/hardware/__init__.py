@@ -51,10 +51,11 @@ from .schedule import (
 from .pipeline import (
     PartitionTiming,
     PipelineResult,
+    StageCosts,
     StreamingPipeline,
     resolve_profile_table,
 )
-from .trace import PipelineTrace, StageInterval, trace_pipeline
+from .trace import PipelineTrace, StageInterval, trace_costs, trace_pipeline
 from .power import PowerBreakdown, estimate_power, static_power_w
 from .resources import (
     RESOURCE_FORMATS,
@@ -104,10 +105,12 @@ __all__ = [
     "schedule_gain",
     "PartitionTiming",
     "PipelineResult",
+    "StageCosts",
     "StreamingPipeline",
     "resolve_profile_table",
     "PipelineTrace",
     "StageInterval",
+    "trace_costs",
     "trace_pipeline",
     "PowerBreakdown",
     "estimate_power",

@@ -164,43 +164,20 @@ class DecompressorModel(ABC):
     # ------------------------------------------------------------------
     # Batch kernels over a ProfileTable (the struct-of-arrays fast path)
     # ------------------------------------------------------------------
-    # The base-class implementations loop the scalar methods, so any
-    # third-party model that only defines compute()/transfer_size()
-    # keeps working on the batch path; every model shipped with the
-    # package overrides them with true vectorized kernels.  The
+    # Vectorized counterparts of compute()/transfer_size(); the
     # differential test suite pins scalar and batch bit-identical.
 
+    @abstractmethod
     def compute_batch(
         self, table: ProfileTable, config: HardwareConfig
     ) -> ComputeColumns:
         """Compute-stage cycles of every tile as ``(n,)`` arrays."""
-        self._check_table(table, config)
-        n = table.n_tiles
-        decompress = np.empty(n, dtype=np.int64)
-        dot = np.empty(n, dtype=np.int64)
-        for index, profile in enumerate(table.profiles()):
-            breakdown = self.compute(profile, config)
-            decompress[index] = breakdown.decompress_cycles
-            dot[index] = breakdown.dot_cycles
-        return ComputeColumns(decompress_cycles=decompress, dot_cycles=dot)
 
+    @abstractmethod
     def transfer_size_batch(
         self, table: ProfileTable, config: HardwareConfig
     ) -> SizeColumns:
         """Memory-read bytes of every tile as ``(n,)`` arrays."""
-        self._check_table(table, config)
-        n = table.n_tiles
-        useful = np.empty(n, dtype=np.int64)
-        data = np.empty(n, dtype=np.int64)
-        metadata = np.empty(n, dtype=np.int64)
-        for index, profile in enumerate(table.profiles()):
-            size = self.transfer_size(profile, config)
-            useful[index] = size.useful_bytes
-            data[index] = size.data_bytes
-            metadata[index] = size.metadata_bytes
-        return SizeColumns(
-            useful_bytes=useful, data_bytes=data, metadata_bytes=metadata
-        )
 
     def _check_profile(
         self, profile: PartitionProfile, config: HardwareConfig

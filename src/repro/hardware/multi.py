@@ -26,10 +26,9 @@ from typing import Sequence
 
 from ..errors import HardwareConfigError
 from ..partition import PartitionProfile, ProfileTable
-from .axi import AxiStreamModel
 from .config import HardwareConfig
-from .decompressors import DecompressorModel, get_decompressor
-from .pipeline import resolve_profile_table
+from .decompressors import DecompressorModel
+from .pipeline import StreamingPipeline
 from .resources import ResourceEstimate, estimate_resources
 
 __all__ = ["LaneAssignment", "MultiLaneResult", "MultiLanePipeline"]
@@ -111,15 +110,14 @@ class MultiLanePipeline:
                 f"n_lanes must be >= 1, got {n_lanes}"
             )
         self.config = config
-        if isinstance(decompressor, str):
-            decompressor = get_decompressor(decompressor)
-        self.decompressor = decompressor
+        self.pipeline = StreamingPipeline(config, decompressor)
         self.n_lanes = n_lanes
-        self.axi = AxiStreamModel(config)
 
     def resources(self) -> ResourceEstimate:
         """Whole-design resources: one estimate per lane, summed."""
-        single = estimate_resources(self.decompressor.name, self.config)
+        single = estimate_resources(
+            self.pipeline.decompressor.name, self.config
+        )
         return ResourceEstimate(
             format_name=single.format_name,
             partition_size=single.partition_size,
@@ -135,59 +133,38 @@ class MultiLanePipeline:
         self, profiles: ProfileTable | Sequence[PartitionProfile]
     ) -> MultiLaneResult:
         """Dispatch every partition and total the run."""
-        table = resolve_profile_table(self.config, profiles)
-        if table is None or table.n_tiles == 0:
-            compute_cycles = memory_cycles = ()
-        else:
-            memory_cycles = self.axi.transfer_cycles_batch(
-                self.decompressor.transfer_size_batch(
-                    table, self.config
-                ).total_bytes
-            )
-            compute_cycles = self.decompressor.compute_batch(
-                table, self.config
-            ).total_cycles
-        costs = [
-            (int(compute), int(memory), index)
-            for index, (compute, memory) in enumerate(
-                zip(compute_cycles, memory_cycles)
-            )
-        ]
-        total_memory = int(sum(memory_cycles))
+        costs = self.pipeline.stage_costs(profiles)
+        memory_cycles = costs.memory.tolist()
+        compute_cycles = costs.compute.total_cycles.tolist()
 
         # longest-processing-time greedy onto the least-loaded lane.
-        lanes = [(0, 0, lane, [])
-                 for lane in range(self.n_lanes)]  # (comp, mem, id, idx)
+        lane_compute = [0] * self.n_lanes
+        lane_memory = [0] * self.n_lanes
+        lane_indices: list[list[int]] = [[] for _ in range(self.n_lanes)]
         heap = [(0, lane) for lane in range(self.n_lanes)]
-        heapq.heapify(heap)
-        lane_state = {
-            lane: {"compute": 0, "memory": 0, "indices": []}
-            for lane in range(self.n_lanes)
-        }
-        del lanes
-        for compute_cycles, memory_cycles, index in sorted(
-            costs, reverse=True
+        for compute, memory, index in sorted(
+            zip(compute_cycles, memory_cycles, range(len(memory_cycles))),
+            reverse=True,
         ):
             load, lane = heapq.heappop(heap)
-            state = lane_state[lane]
-            state["compute"] += compute_cycles
-            state["memory"] += memory_cycles
-            state["indices"].append(index)
-            heapq.heappush(heap, (load + compute_cycles, lane))
+            lane_compute[lane] += compute
+            lane_memory[lane] += memory
+            lane_indices[lane].append(index)
+            heapq.heappush(heap, (load + compute, lane))
 
         assignments = tuple(
             LaneAssignment(
                 lane=lane,
-                partition_indices=tuple(sorted(state["indices"])),
-                compute_cycles=state["compute"],
-                memory_cycles=state["memory"],
+                partition_indices=tuple(sorted(lane_indices[lane])),
+                compute_cycles=lane_compute[lane],
+                memory_cycles=lane_memory[lane],
             )
-            for lane, state in sorted(lane_state.items())
+            for lane in range(self.n_lanes)
         )
         return MultiLaneResult(
-            format_name=self.decompressor.name,
+            format_name=costs.format_name,
             n_lanes=self.n_lanes,
-            partition_size=self.config.partition_size,
+            partition_size=costs.partition_size,
             assignments=assignments,
-            total_memory_cycles=total_memory,
+            total_memory_cycles=sum(memory_cycles),
         )

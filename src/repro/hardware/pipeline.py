@@ -7,12 +7,14 @@ partition is the *maximum* of its memory latency and compute latency
 total latency"); the ends of the pipeline add one fill and one drain
 term.
 
-:meth:`StreamingPipeline.run` evaluates the whole matrix through the
-batch kernels of the decompressor models: one :class:`ProfileTable` in,
-a handful of array operations out, with no per-tile Python objects on
-the hot path.  The resulting :class:`PipelineResult` stores the
-per-partition cycle and byte columns directly; the tuple-of-timings
-view is materialized lazily for callers that still want objects.
+:meth:`StreamingPipeline.stage_costs` is the one place the batch path
+computes a partition's stage costs: its transfer sizes, its
+memory-stage cycles (AXI transfer plus the CRC stage when the
+configuration checks integrity), its compute cycles and the write-back
+term, one :class:`ProfileTable` in and a handful of array operations
+out.  :meth:`StreamingPipeline.run` totals those costs into a
+:class:`PipelineResult`; the multi-lane model, the partition-order
+scheduler and the event trace read the same :class:`StageCosts`.
 :meth:`StreamingPipeline.run_scalar` keeps the original per-profile
 loop as the differential/bench reference.
 """
@@ -42,6 +44,7 @@ from .integrity import IntegrityCheckModel
 __all__ = [
     "PartitionTiming",
     "PipelineResult",
+    "StageCosts",
     "StreamingPipeline",
     "resolve_profile_table",
     "PIPELINE_STAGES",
@@ -317,6 +320,29 @@ class PipelineResult:
         return float(ratios.sum() / ratios.size)
 
 
+@dataclass(frozen=True, eq=False)
+class StageCosts:
+    """Per-partition stage costs of one format over one matrix.
+
+    ``memory`` is each partition's memory-read stage (AXI transfer of
+    ``sizes.total_bytes``, plus the CRC stage when the configuration
+    checks integrity); ``write_back_cycles`` is the memory-write stage
+    of any one partition.  Built only by
+    :meth:`StreamingPipeline.stage_costs`.
+    """
+
+    format_name: str
+    partition_size: int
+    sizes: SizeColumns
+    memory: np.ndarray
+    compute: ComputeColumns
+    write_back_cycles: int
+
+    @property
+    def n_partitions(self) -> int:
+        return self.memory.size
+
+
 class StreamingPipeline:
     """Runs partition profiles through one format's hardware model."""
 
@@ -357,22 +383,39 @@ class StreamingPipeline:
         out_bytes = self.config.partition_size * self.config.value_bytes
         return self.axi.single_line_cycles(out_bytes)
 
-    def _empty_result(self) -> PipelineResult:
-        empty = np.empty(0, dtype=np.int64)
-        return PipelineResult(
+    def stage_costs(
+        self, profiles: ProfileTable | Sequence[PartitionProfile]
+    ) -> StageCosts:
+        """Every partition's stage costs through the batch kernels.
+
+        Accepts a :class:`ProfileTable` (the fast path — everything
+        stays columnar) or a sequence of :class:`PartitionProfile`
+        objects (columnarized first).
+        """
+        table = resolve_profile_table(self.config, profiles)
+        if table is None or table.n_tiles == 0:
+            empty = np.empty((6, 0), dtype=np.int64)
+            sizes = SizeColumns(*empty[:3])
+            memory = empty[3]
+            compute = ComputeColumns(*empty[4:])
+        else:
+            sizes = self.decompressor.transfer_size_batch(
+                table, self.config
+            )
+            total_bytes = sizes.total_bytes
+            memory = self.axi.transfer_cycles_batch(total_bytes)
+            if self.integrity is not None:
+                memory = self.integrity.checked_transfer_cycles_batch(
+                    memory, total_bytes
+                )
+            compute = self.decompressor.compute_batch(table, self.config)
+        return StageCosts(
             format_name=self.decompressor.name,
             partition_size=self.config.partition_size,
-            memory_per_partition=empty,
-            compute=ComputeColumns(
-                decompress_cycles=empty, dot_cycles=empty.copy()
-            ),
-            sizes=SizeColumns(
-                useful_bytes=empty,
-                data_bytes=empty.copy(),
-                metadata_bytes=empty.copy(),
-            ),
-            fill_cycles=0,
-            drain_cycles=0,
+            sizes=sizes,
+            memory=memory,
+            compute=compute,
+            write_back_cycles=self._write_back_cycles(),
         )
 
     def run(
@@ -380,30 +423,19 @@ class StreamingPipeline:
     ) -> PipelineResult:
         """Stream every non-zero partition and total the pipeline.
 
-        Accepts a :class:`ProfileTable` (the fast path — everything
-        stays columnar) or a sequence of :class:`PartitionProfile`
-        objects (columnarized first).  Both produce results
+        Takes the same inputs as :meth:`stage_costs`; the result is
         bit-identical to :meth:`run_scalar`.
         """
-        table = resolve_profile_table(self.config, profiles)
-        if table is None or table.n_tiles == 0:
-            return self._empty_result()
-        sizes = self.decompressor.transfer_size_batch(table, self.config)
-        total_bytes = sizes.total_bytes
-        memory = self.axi.transfer_cycles_batch(total_bytes)
-        if self.integrity is not None:
-            memory = self.integrity.checked_transfer_cycles_batch(
-                memory, total_bytes
-            )
-        compute = self.decompressor.compute_batch(table, self.config)
+        costs = self.stage_costs(profiles)
+        streamed = costs.n_partitions > 0
         return PipelineResult(
-            format_name=self.decompressor.name,
-            partition_size=self.config.partition_size,
-            memory_per_partition=memory,
-            compute=compute,
-            sizes=sizes,
-            fill_cycles=int(memory[0]),
-            drain_cycles=self._write_back_cycles(),
+            format_name=costs.format_name,
+            partition_size=costs.partition_size,
+            memory_per_partition=costs.memory,
+            compute=costs.compute,
+            sizes=costs.sizes,
+            fill_cycles=int(costs.memory[0]) if streamed else 0,
+            drain_cycles=costs.write_back_cycles if streamed else 0,
         )
 
     def run_scalar(

@@ -27,11 +27,10 @@ from typing import Sequence
 
 from ..errors import SimulationError
 from ..partition import PartitionProfile, ProfileTable
-from .axi import AxiStreamModel
 from .config import HardwareConfig
-from .decompressors import DecompressorModel, get_decompressor
-from .pipeline import resolve_profile_table
-from .trace import trace_pipeline
+from .decompressors import DecompressorModel
+from .pipeline import StageCosts, StreamingPipeline
+from .trace import trace_costs
 
 __all__ = [
     "PartitionCost",
@@ -62,23 +61,19 @@ def partition_costs(
     profiles: ProfileTable | Sequence[PartitionProfile],
 ) -> list[PartitionCost]:
     """Per-partition memory and compute cycles."""
-    if isinstance(decompressor, str):
-        decompressor = get_decompressor(decompressor)
-    table = resolve_profile_table(config, profiles)
-    if table is None or table.n_tiles == 0:
-        return []
-    axi = AxiStreamModel(config)
-    memory = axi.transfer_cycles_batch(
-        decompressor.transfer_size_batch(table, config).total_bytes
+    return _cost_records(
+        StreamingPipeline(config, decompressor).stage_costs(profiles)
     )
-    compute = decompressor.compute_batch(table, config).total_cycles
+
+
+def _cost_records(costs: StageCosts) -> list[PartitionCost]:
     return [
         PartitionCost(
-            index=index,
-            memory_cycles=int(memory[index]),
-            compute_cycles=int(compute[index]),
+            index=index, memory_cycles=memory, compute_cycles=compute
         )
-        for index in range(table.n_tiles)
+        for index, (memory, compute) in enumerate(
+            zip(costs.memory.tolist(), costs.compute.total_cycles.tolist())
+        )
     ]
 
 
@@ -120,18 +115,16 @@ def schedule_gain(
     Returns ``{"original": ..., "skew_sorted": ..., "johnson": ...}``
     total cycles.
     """
-    if isinstance(decompressor, str):
-        decompressor = get_decompressor(decompressor)
-    costs = partition_costs(config, decompressor, profiles)
-    if not costs:
+    costs = StreamingPipeline(config, decompressor).stage_costs(profiles)
+    if not costs.n_partitions:
         raise SimulationError("no partitions to schedule")
+    records = _cost_records(costs)
 
-    def makespan(order: Sequence[int]) -> int:
-        reordered = [profiles[i] for i in order]
-        return trace_pipeline(config, decompressor, reordered).total_cycles
+    def makespan(order: Sequence[int] | None) -> int:
+        return trace_costs(costs, order).total_cycles
 
     return {
-        "original": makespan(range(len(profiles))),
-        "skew_sorted": makespan(imbalance_order(costs)),
-        "johnson": makespan(johnson_order(costs)),
+        "original": makespan(None),
+        "skew_sorted": makespan(imbalance_order(records)),
+        "johnson": makespan(johnson_order(records)),
     }

@@ -25,21 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import SimulationError
 from ..observability import Histogram, MetricsRegistry, log2_edges
 from ..partition import PartitionProfile, ProfileTable
-from .axi import AxiStreamModel
 from .config import HardwareConfig
-from .decompressors import DecompressorModel, get_decompressor
-from .integrity import IntegrityCheckModel
-from .pipeline import resolve_profile_table
+from .decompressors import DecompressorModel
+from .pipeline import StageCosts, StreamingPipeline
 
 __all__ = [
     "StageInterval",
     "PipelineTrace",
     "trace_pipeline",
+    "trace_costs",
     "TRACE_STAGES",
 ]
 
@@ -213,35 +210,29 @@ def trace_pipeline(
 ) -> PipelineTrace:
     """Schedule every partition through the three pipeline stages.
 
-    The per-partition stage durations come from the decompressor's
-    batch kernels (one array pass over the whole matrix); only the
-    inherently sequential event scheduling remains a Python loop.
+    The per-partition stage durations are
+    :meth:`~repro.hardware.pipeline.StreamingPipeline.stage_costs`
+    (one array pass over the whole matrix); only the inherently
+    sequential event scheduling in :func:`trace_costs` is a Python loop.
     """
-    if isinstance(decompressor, str):
-        decompressor = get_decompressor(decompressor)
-    table = resolve_profile_table(config, profiles)
-    axi = AxiStreamModel(config)
-    write_cycles = (
-        axi.single_line_cycles(config.partition_size * config.value_bytes)
-        if config.write_back
-        else 0
+    return trace_costs(
+        StreamingPipeline(config, decompressor).stage_costs(profiles)
     )
 
-    if table is None or table.n_tiles == 0:
-        mem_cycles = np.empty(0, dtype=np.int64)
-        comp_cycles = np.empty(0, dtype=np.int64)
-    else:
-        total_bytes = decompressor.transfer_size_batch(
-            table, config
-        ).total_bytes
-        mem_cycles = axi.transfer_cycles_batch(total_bytes)
-        if config.integrity_check:
-            mem_cycles = IntegrityCheckModel(
-                config
-            ).checked_transfer_cycles_batch(mem_cycles, total_bytes)
-        comp_cycles = decompressor.compute_batch(
-            table, config
-        ).total_cycles
+
+def trace_costs(
+    costs: StageCosts, order: Sequence[int] | None = None
+) -> PipelineTrace:
+    """Event-schedule precomputed stage costs.
+
+    Partitions stream in ``order`` (indices into ``costs``; the
+    default is their own order), and each interval carries its
+    partition's index in ``costs``.
+    """
+    indices = range(costs.n_partitions) if order is None else order
+    mem_cycles = costs.memory.tolist()
+    comp_cycles = costs.compute.total_cycles.tolist()
+    write_cycles = costs.write_back_cycles
 
     memory: list[StageInterval] = []
     compute: list[StageInterval] = []
@@ -249,21 +240,21 @@ def trace_pipeline(
     mem_free_at = 0  # memory port availability
     compute_free_at = 0
     write_free_at = 0
-    # double-buffered input: fetching partition i requires compute on
-    # partition i-2 to have drained its buffer.
+    # double-buffered input: fetching the i-th streamed partition
+    # requires compute on the (i-2)-th to have drained its buffer.
     compute_stop_history: list[int] = []
 
-    for index in range(mem_cycles.size):
+    for position, index in enumerate(indices):
         buffer_free_at = (
-            compute_stop_history[index - 2] if index >= 2 else 0
+            compute_stop_history[position - 2] if position >= 2 else 0
         )
         mem_start = max(mem_free_at, buffer_free_at)
-        mem_stop = mem_start + int(mem_cycles[index])
+        mem_stop = mem_start + mem_cycles[index]
         memory.append(StageInterval(index, mem_start, mem_stop))
         mem_free_at = mem_stop
 
         comp_start = max(mem_stop, compute_free_at)
-        comp_stop = comp_start + int(comp_cycles[index])
+        comp_stop = comp_start + comp_cycles[index]
         compute.append(StageInterval(index, comp_start, comp_stop))
         compute_free_at = comp_stop
         compute_stop_history.append(comp_stop)
@@ -274,8 +265,8 @@ def trace_pipeline(
         write_free_at = write_stop
 
     return PipelineTrace(
-        format_name=decompressor.name,
-        partition_size=config.partition_size,
+        format_name=costs.format_name,
+        partition_size=costs.partition_size,
         memory=tuple(memory),
         compute=tuple(compute),
         write=tuple(write),

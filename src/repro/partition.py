@@ -6,7 +6,7 @@ tiled into ``p x p`` partitions, all-zero partitions are dropped, and
 each non-zero partition is compressed and streamed independently
 (Section 4.1).  ``p`` (8, 16 or 32) is the main hyperparameter.
 
-Three views of the same tiling are provided:
+Two views of the same tiling are provided:
 
 * :func:`partition_matrix` materializes each non-zero tile as a
   :class:`~repro.matrix.SparseMatrix` — exact, used by functional SpMV,
@@ -17,9 +17,8 @@ Three views of the same tiling are provided:
   columnar in a :class:`ProfileTable` — this is what makes 8000 x 8000
   workloads tractable and lets the hardware model evaluate its
   closed-form cycle/size formulas over whole matrices in one shot.
-* :func:`profile_partitions` is the per-object view of the same data:
-  a list of :class:`PartitionProfile` records materialized from the
-  table.
+  :meth:`ProfileTable.profiles` materializes the per-object view, one
+  :class:`PartitionProfile` per tile, for the scalar reference models.
 
 The module also computes the paper's Figure-3 "density and spatial
 locality" statistics.
@@ -44,7 +43,6 @@ __all__ = [
     "ProfileAccumulator",
     "PartitionStatistics",
     "partition_matrix",
-    "profile_partitions",
     "profile_table",
     "partition_statistics",
     "reassemble",
@@ -167,7 +165,7 @@ class PartitionProfile:
         if not self.row_nnz_hist:
             raise PartitionError(
                 "this statistic needs row_nnz_hist; build the profile "
-                "via profile_partitions() or of_block()"
+                "via profile_table() or of_block()"
             )
         return self.row_nnz_hist
 
@@ -921,17 +919,6 @@ class ProfileAccumulator:
             dia_max_len=longest,
             row_nnz_hist=hist_matrix,
         )
-
-
-def profile_partitions(
-    matrix: SparseMatrix, p: int, block_size: int = 4
-) -> list[PartitionProfile]:
-    """Vectorized per-tile profiles for every non-zero tile (grid order).
-
-    The object view of :func:`profile_table`; prefer the table for
-    anything that feeds the hardware model's batch kernels.
-    """
-    return profile_table(matrix, p, block_size=block_size).profiles()
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import render_timeline
 from repro.hardware import HardwareConfig, trace_pipeline
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
@@ -14,7 +14,7 @@ CONFIG = HardwareConfig(partition_size=16)
 
 def trace_for(name: str):
     matrix = random_matrix(96, 0.1, seed=0)
-    return trace_pipeline(CONFIG, name, profile_partitions(matrix, 16))
+    return trace_pipeline(CONFIG, name, profile_table(matrix, 16))
 
 
 class TestRenderTimeline:

@@ -40,7 +40,7 @@ class TestSimulator:
     def test_profiles_reusable(self):
         matrix = random_matrix(64, 0.1, seed=0)
         simulator = SpmvSimulator(CONFIG)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         a = simulator.run_format("csr", profiles)
         b = simulator.characterize(matrix, "csr")
         assert a.sigma == b.sigma

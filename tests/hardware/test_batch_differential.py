@@ -26,7 +26,6 @@ from repro.matrix import SparseMatrix
 from repro.partition import (
     PartitionProfile,
     ProfileTable,
-    profile_partitions,
     profile_table,
 )
 from repro.workloads import band_matrix, random_matrix
@@ -130,8 +129,8 @@ class TestRunInputForms:
             pipeline.run(table)
 
     def test_sequence_mismatch_names_offending_tile(self):
-        good = profile_partitions(MATRICES["random"], 16)
-        bad = profile_partitions(MATRICES["random"], 8)
+        good = profile_table(MATRICES["random"], 16).profiles()
+        bad = profile_table(MATRICES["random"], 8).profiles()
         mixed = list(good)
         mixed[3] = bad[0]
         pipeline = StreamingPipeline(
@@ -171,26 +170,6 @@ class TestAxiBatch:
         axi = AxiStreamModel(HardwareConfig(partition_size=16))
         with pytest.raises(HardwareConfigError):
             axi.transfer_cycles_batch(np.array([16, -1], dtype=np.int64))
-
-
-class TestFallbackPath:
-    """Third-party models without batch overrides keep working."""
-
-    def test_scalar_only_subclass_runs_batch(self):
-        from repro.hardware.decompressors.base import DecompressorModel
-        from repro.hardware.decompressors.csr import CsrDecompressor
-
-        class ThirdParty(CsrDecompressor):
-            name = "third-party"
-            compute_batch = DecompressorModel.compute_batch
-            transfer_size_batch = DecompressorModel.transfer_size_batch
-
-        config = HardwareConfig(partition_size=16)
-        table = profile_table(MATRICES["random"], 16)
-        fallback = StreamingPipeline(config, ThirdParty()).run(table)
-        vectorized = StreamingPipeline(config, "csr").run(table)
-        assert fallback.total_cycles == vectorized.total_cycles
-        assert fallback.transferred == vectorized.transferred
 
 
 @st.composite
@@ -252,4 +231,3 @@ class TestBatchProperties:
             assert np.array_equal(
                 table.row_nnz_hist, rebuilt.row_nnz_hist
             )
-        assert table.profiles() == profile_partitions(matrix, p)

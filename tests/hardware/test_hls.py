@@ -17,7 +17,7 @@ from repro.hardware.hls import (
     build_listing,
     schedule_cycles,
 )
-from repro.partition import PartitionProfile, profile_partitions
+from repro.partition import PartitionProfile, profile_table
 from repro.workloads import band_matrix, power_law_graph, random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
@@ -112,7 +112,7 @@ class TestListingsMatchModels:
             power_law_graph(96, avg_degree=4, seed=3),
         ]
         for matrix in matrices:
-            yield from profile_partitions(matrix, 16)
+            yield from profile_table(matrix, 16).profiles()
 
     @pytest.mark.parametrize("format_name", sorted(LISTING_BUILDERS))
     def test_scheduled_cycles_equal_model(self, format_name):
@@ -131,7 +131,7 @@ class TestListingsMatchModels:
         for p in (8, 32):
             config = HardwareConfig(partition_size=p)
             matrix = random_matrix(96, 0.1, seed=4)
-            for profile in profile_partitions(matrix, p):
+            for profile in profile_table(matrix, p).profiles():
                 for name in ("csr", "ell", "dia"):
                     nest = build_listing(name, profile, config)
                     expected = get_decompressor(name).compute(
@@ -143,7 +143,7 @@ class TestListingsMatchModels:
 class TestListingStructure:
     def sample_profile(self) -> PartitionProfile:
         matrix = random_matrix(32, 0.2, seed=5)
-        return profile_partitions(matrix, 16)[0]
+        return profile_table(matrix, 16).profiles()[0]
 
     def test_bcsr_unrolls_over_banked_values(self):
         nest = build_listing("bcsr", self.sample_profile(), CONFIG)

@@ -7,14 +7,14 @@ import pytest
 from repro.errors import HardwareConfigError, SimulationError
 from repro.hardware import HardwareConfig
 from repro.hardware.multi import MultiLanePipeline
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import band_matrix, random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
 
 
 def profiles_for(density: float = 0.2, n: int = 256, seed: int = 0):
-    return profile_partitions(random_matrix(n, density, seed=seed), 16)
+    return profile_table(random_matrix(n, density, seed=seed), 16)
 
 
 class TestDispatch:
@@ -49,7 +49,7 @@ class TestDispatch:
     def test_validation(self):
         with pytest.raises(HardwareConfigError):
             MultiLanePipeline(CONFIG, "csr", 0)
-        wrong = profile_partitions(random_matrix(64, 0.1, seed=1), 8)
+        wrong = profile_table(random_matrix(64, 0.1, seed=1), 8)
         with pytest.raises(SimulationError):
             MultiLanePipeline(CONFIG, "csr", 2).run(wrong)
 

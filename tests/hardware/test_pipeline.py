@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.formats.base import SizeBreakdown
 from repro.hardware import HardwareConfig, StreamingPipeline
 from repro.hardware.pipeline import PartitionTiming
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
@@ -43,7 +43,7 @@ class TestPartitionTiming:
 class TestPipelineRun:
     def run(self, format_name: str, density: float = 0.1):
         matrix = random_matrix(64, density, seed=2)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         return StreamingPipeline(CONFIG, format_name).run(profiles)
 
     def test_total_is_steady_plus_fill_drain(self):
@@ -66,7 +66,7 @@ class TestPipelineRun:
 
     def test_write_back_can_be_disabled(self):
         matrix = random_matrix(64, 0.1, seed=2)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         config = HardwareConfig(partition_size=16, write_back=False)
         result = StreamingPipeline(config, "coo").run(profiles)
         assert result.drain_cycles == 0
@@ -112,7 +112,7 @@ class TestPipelineRun:
 
     def test_mismatched_profile_size_rejected(self):
         matrix = random_matrix(64, 0.1, seed=2)
-        profiles = profile_partitions(matrix, 8)
+        profiles = profile_table(matrix, 8)
         with pytest.raises(SimulationError):
             StreamingPipeline(CONFIG, "csr").run(profiles)
 
@@ -127,7 +127,7 @@ class TestPipelineRun:
 class TestObservabilityHooks:
     def result(self):
         matrix = random_matrix(64, 0.1, seed=2)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         return StreamingPipeline(CONFIG, "csr").run(profiles)
 
     def test_stage_cycles_match_timings(self):

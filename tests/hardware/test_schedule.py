@@ -14,7 +14,7 @@ from repro.hardware.schedule import (
     schedule_gain,
 )
 from repro.matrix import SparseMatrix
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import band_matrix, random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
@@ -25,7 +25,7 @@ def mixed_profiles():
     a dense band through a sparse background."""
     background = random_matrix(256, 0.02, seed=0)
     band = band_matrix(256, 32, seed=1)
-    return profile_partitions(background.add(band), 16)
+    return profile_table(background.add(band), 16)
 
 
 class TestCosts:
@@ -94,11 +94,13 @@ class TestOrders:
 
 class TestScheduleGain:
     def test_johnson_never_slower_than_alternatives(self):
-        profiles = mixed_profiles()
+        table = mixed_profiles()
         for name in ("csr", "coo", "dia", "lil", "bcsr"):
-            gains = schedule_gain(CONFIG, name, profiles)
+            gains = schedule_gain(CONFIG, name, table)
             assert gains["johnson"] <= gains["skew_sorted"], name
             assert gains["johnson"] <= gains["original"], name
+            # object input takes the same path as the table
+            assert schedule_gain(CONFIG, name, table.profiles()) == gains
 
     def test_johnson_gains_on_mixed_workload(self):
         """On a band-through-background workload, reordering buys a
@@ -121,7 +123,7 @@ class TestScheduleGain:
     def test_uniform_workload_is_order_insensitive(self):
         """All-identical partitions: ordering cannot matter."""
         matrix = SparseMatrix.identity(256)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         gains = schedule_gain(CONFIG, "coo", profiles)
         assert gains["original"] == gains["skew_sorted"]
         assert gains["original"] == gains["johnson"]

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.hardware import HardwareConfig, StreamingPipeline
 from repro.hardware.trace import StageInterval, trace_pipeline
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import band_matrix, random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
@@ -15,7 +15,7 @@ CONFIG = HardwareConfig(partition_size=16)
 
 def trace_for(format_name: str, density: float = 0.1, seed: int = 0):
     matrix = random_matrix(96, density, seed=seed)
-    profiles = profile_partitions(matrix, 16)
+    profiles = profile_table(matrix, 16)
     return trace_pipeline(CONFIG, format_name, profiles), profiles
 
 
@@ -71,7 +71,7 @@ class TestSchedule:
 
     def test_partition_size_mismatch_rejected(self):
         matrix = random_matrix(64, 0.1, seed=1)
-        profiles = profile_partitions(matrix, 8)
+        profiles = profile_table(matrix, 8)
         with pytest.raises(SimulationError):
             trace_pipeline(CONFIG, "csr", profiles)
 
@@ -80,7 +80,7 @@ class TestImbalanceAnalysis:
     def test_compute_bound_format_has_memory_stalls(self):
         """CSC computes far slower than it streams: memory pauses."""
         matrix = band_matrix(256, 32, seed=0)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         trace = trace_pipeline(CONFIG, "csc", profiles)
         assert trace.bound() == "compute"
         assert trace.memory_stall_cycles > 0
@@ -90,7 +90,7 @@ class TestImbalanceAnalysis:
         """Dense at a large partition streams slower than it computes."""
         config = HardwareConfig(partition_size=32)
         matrix = random_matrix(256, 0.05, seed=2)
-        profiles = profile_partitions(matrix, 32)
+        profiles = profile_table(matrix, 32)
         trace = trace_pipeline(config, "dense", profiles)
         assert trace.bound() == "memory"
         assert trace.compute_idle_cycles > 0
@@ -105,7 +105,7 @@ class TestImbalanceAnalysis:
     def test_balanced_format_minimizes_both(self):
         """The better-balanced format wastes fewer cycles overall."""
         matrix = band_matrix(256, 8, seed=1)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         waste = {}
         for name in ("dense", "csc"):
             trace = trace_pipeline(CONFIG, name, profiles)
@@ -118,7 +118,7 @@ class TestImbalanceAnalysis:
 class TestObservabilityHooks:
     def trace(self, format_name: str = "csr"):
         matrix = random_matrix(96, 0.08, seed=5)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         return trace_pipeline(CONFIG, format_name, profiles), profiles
 
     def test_bubble_accounting_balances(self):

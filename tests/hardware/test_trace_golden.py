@@ -25,7 +25,7 @@ from repro.hardware import HardwareConfig
 from repro.hardware.axi import AxiStreamModel
 from repro.hardware.pipeline import StreamingPipeline
 from repro.hardware.trace import trace_pipeline
-from repro.partition import profile_partitions
+from repro.partition import profile_table
 from repro.workloads import band_matrix, poisson_2d, random_matrix
 
 CONFIG = HardwareConfig(partition_size=16)
@@ -80,7 +80,7 @@ def write_back_cycles(config: HardwareConfig = CONFIG) -> int:
 @pytest.fixture(scope="module")
 def corpus_profiles():
     return {
-        name: profile_partitions(matrix, CONFIG.partition_size)
+        name: profile_table(matrix, CONFIG.partition_size)
         for name, matrix in golden_corpus().items()
     }
 
@@ -145,7 +145,7 @@ def test_golden_covers_full_cube():
 
 if __name__ == "__main__":  # regenerate GOLDEN_TRACE
     for name, matrix in golden_corpus().items():
-        profiles = profile_partitions(matrix, CONFIG.partition_size)
+        profiles = profile_table(matrix, CONFIG.partition_size)
         for fmt in FORMATS:
             trace = trace_pipeline(CONFIG, fmt, profiles)
             print(

@@ -23,7 +23,7 @@ from repro.core.recommend import recommend
 from repro.formats import PAPER_FORMATS, get_format
 from repro.hardware import build_listing, schedule_cycles, trace_pipeline
 from repro.io import read_matrix_market, write_matrix_market
-from repro.partition import partition_matrix, profile_partitions
+from repro.partition import partition_matrix, profile_table
 from repro.workloads import (
     Workload,
     poisson_2d,
@@ -72,12 +72,12 @@ class TestFunctionalVsTimingConsistency:
     def test_engine_tiles_equal_profile_count(self):
         matrix = power_law_graph(256, avg_degree=4, seed=2)
         engine = PartitionedSpmvEngine(matrix, "csr", 16)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         assert engine.n_tiles == len(profiles)
 
     def test_profile_nnz_totals_match_matrix(self):
         matrix = random_matrix(128, 0.07, seed=3)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16)
         assert sum(p.nnz for p in profiles) == matrix.nnz
 
     def test_three_latency_views_are_ordered(self):
@@ -85,7 +85,7 @@ class TestFunctionalVsTimingConsistency:
         matrix = random_matrix(128, 0.1, seed=4)
         config = HardwareConfig(partition_size=16)
         simulator = SpmvSimulator(config)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         for name in PAPER_FORMATS:
             result = simulator.run_format(name, profiles, "x")
             trace = trace_pipeline(config, name, profiles)
@@ -99,7 +99,7 @@ class TestFunctionalVsTimingConsistency:
         matrix = random_matrix(128, 0.1, seed=5)
         config = HardwareConfig(partition_size=16)
         simulator = SpmvSimulator(config)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         for name in ("csr", "coo", "ell", "dia"):
             result = simulator.run_format(name, profiles, "x")
             scheduled = sum(
@@ -136,7 +136,7 @@ class TestSummaryOverFullCube:
         matrix = random_matrix(128, 0.03, seed=9)
         config = HardwareConfig(partition_size=16)
         simulator = SpmvSimulator(config)
-        profiles = simulator.profiles(matrix)
+        profiles = simulator.profile_table(matrix)
         results = [
             simulator.run_format(name, profiles, "w")
             for name in PAPER_FORMATS

@@ -19,7 +19,6 @@ from repro.partition import (
     grid_shape,
     partition_matrix,
     partition_statistics,
-    profile_partitions,
     profile_table,
     reassemble,
 )
@@ -151,7 +150,7 @@ class TestProfiles:
         assert_matches_reference(matrix, p)
 
     def test_identity_profiles(self):
-        profiles = profile_partitions(SparseMatrix.identity(32), 16)
+        profiles = profile_table(SparseMatrix.identity(32), 16).profiles()
         assert len(profiles) == 2
         for profile in profiles:
             assert profile.nnz == 16
@@ -163,7 +162,7 @@ class TestProfiles:
 
     def test_full_tile_profile(self):
         matrix = SparseMatrix.from_dense(np.ones((8, 8)))
-        (profile,) = profile_partitions(matrix, 8)
+        (profile,) = profile_table(matrix, 8).profiles()
         assert profile.density == 1.0
         assert profile.row_density == 1.0
         assert profile.nnz_row_fraction == 1.0
@@ -176,7 +175,7 @@ class TestProfiles:
     def test_block_statistics(self):
         # single entry touches exactly one block and one block-row
         matrix = SparseMatrix((8, 8), [5], [6], [1.0])
-        (profile,) = profile_partitions(matrix, 8, block_size=4)
+        (profile,) = profile_table(matrix, 8, block_size=4).profiles()
         assert profile.n_blocks == 1
         assert profile.nnz_block_rows == 1
 
@@ -190,11 +189,11 @@ class TestProfiles:
 
     def test_invalid_block_size(self):
         with pytest.raises(PartitionError):
-            profile_partitions(SparseMatrix.identity(8), 8, block_size=0)
+            profile_table(SparseMatrix.identity(8), 8, block_size=0)
 
     def test_band_matrix_diag_counts(self):
         matrix = band_matrix(64, width=4, seed=0)
-        for profile in profile_partitions(matrix, 16):
+        for profile in profile_table(matrix, 16).profiles():
             assert profile.n_diagonals <= 5
 
 
@@ -279,7 +278,7 @@ class TestProfileTable:
     def test_columns_match_materialized_profiles(self):
         matrix = random_matrix(64, 0.1, seed=2)
         table = profile_table(matrix, 16)
-        profiles = profile_partitions(matrix, 16)
+        profiles = profile_table(matrix, 16).profiles()
         assert table.n_tiles == len(profiles)
         assert len(table) == len(profiles)
         for name in PROFILE_COLUMNS:
@@ -290,7 +289,6 @@ class TestProfileTable:
     def test_views_equal_scalar_profiles(self):
         matrix = band_matrix(64, width=4, seed=0)
         table = profile_table(matrix, 16)
-        assert table.profiles() == profile_partitions(matrix, 16)
         assert table[0] == table.profiles()[0]
         assert list(table) == table.profiles()
 
@@ -313,8 +311,8 @@ class TestProfileTable:
             ProfileTable.from_profiles([])
 
     def test_from_profiles_names_mixed_tile(self):
-        eights = profile_partitions(random_matrix(32, 0.2, seed=1), 8)
-        sixteens = profile_partitions(random_matrix(32, 0.2, seed=1), 16)
+        eights = profile_table(random_matrix(32, 0.2, seed=1), 8).profiles()
+        sixteens = profile_table(random_matrix(32, 0.2, seed=1), 16).profiles()
         mixed = [eights[0], eights[1], sixteens[0]]
         with pytest.raises(PartitionError, match="profile 2"):
             ProfileTable.from_profiles(mixed)

@@ -19,7 +19,7 @@ from repro.matrix import SparseMatrix
 from repro.partition import (
     PartitionProfile,
     partition_matrix,
-    profile_partitions,
+    profile_table,
     reassemble,
 )
 
@@ -267,7 +267,7 @@ class TestPartitionProperties:
            st.integers(min_value=1, max_value=5))
     @settings(max_examples=60)
     def test_profiles_match_reference(self, matrix, p, block_size):
-        profiles = profile_partitions(matrix, p, block_size=block_size)
+        profiles = profile_table(matrix, p, block_size=block_size)
         tiles = partition_matrix(matrix, p)
         assert len(profiles) == len(tiles)
         for profile, tile in zip(profiles, tiles):
@@ -279,7 +279,7 @@ class TestPartitionProperties:
            st.sampled_from([4, 8, 16]))
     @settings(max_examples=60)
     def test_profile_internal_invariants(self, matrix, p):
-        for profile in profile_partitions(matrix, p):
+        for profile in profile_table(matrix, p).profiles():
             assert 1 <= profile.nnz <= p * p
             assert profile.max_col_nnz <= profile.nnz_rows
             assert profile.max_row_nnz <= profile.nnz_cols
@@ -330,7 +330,7 @@ class TestModelConsistencyProperties:
         config = HardwareConfig(partition_size=p)
         model = get_decompressor(format_name)
         dense_total = p * config.dot_product_cycles()
-        for profile in profile_partitions(matrix, p):
+        for profile in profile_table(matrix, p).profiles():
             compute = model.compute(profile, config)
             assert compute.total_cycles > 0
             if format_name == "dense":
