@@ -355,7 +355,9 @@ async def _serve_schedule(
         "crashed": None,
         "statuses": statuses,
         "drain": {
-            "refused": int(counters.get("serve.drain.refused", 0)),
+            "refused": int(
+                counters.get("serve.decision.refuse.draining", 0)
+            ),
             "cancelled": int(
                 counters.get("serve.drain.cancelled", 0)
             ),

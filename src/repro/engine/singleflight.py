@@ -66,21 +66,23 @@ class SingleFlight:
     def is_inflight(self, key: Hashable) -> bool:
         return key in self._inflight
 
-    async def run(
+    def run(
         self, key: Hashable, factory: Callable[[], Awaitable[T]]
-    ) -> T:
-        """The result of ``factory()``, shared with concurrent callers.
+    ) -> "asyncio.Future[T]":
+        """A future of ``factory()``'s result, shared with concurrent
+        callers: if ``key`` is in flight, of that computation instead.
 
-        If ``key`` is already in flight, awaits that computation
-        instead of starting a second one.  The factory runs as its own
-        task; cancellation of this coroutine abandons the wait but
-        leaves the shared computation running for the other callers.
-        Exceptions from the factory propagate to every waiter.
+        The caller is registered synchronously, so one that checked
+        :meth:`is_inflight` in the same event-loop step knows whether
+        it leads.  The factory runs as its own task; cancelling the
+        returned (shielded) future abandons this wait but leaves the
+        shared computation running.  Exceptions from the factory
+        propagate to every waiter.
         """
         future = self._inflight.get(key)
         if future is not None:
             self.stats.coalesced += 1
-            return await asyncio.shield(future)
+            return asyncio.shield(future)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         # if every waiter is cancelled nobody retrieves the result;
@@ -94,7 +96,7 @@ class SingleFlight:
         # hold a strong reference so the loop cannot drop the task
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        return await asyncio.shield(future)
+        return asyncio.shield(future)
 
     async def _compute(
         self,

@@ -12,9 +12,9 @@ Three layers between hostile bytes and a serve worker:
   and the 14 format codecs: seeded generators for malformed bytes and
   semantically-corrupted encodings, a delta-debugging minimizer, and
   an on-disk regression corpus replayed in CI;
-* :mod:`repro.guard.overload` — serve-side overload protection:
-  per-route circuit breakers, bulkhead lane accounting, and SLO-aware
-  priority load shedding.
+* :mod:`repro.guard.overload` — serve-side overload protection: one
+  pure admission decision (:func:`decide`) over drain, SLO-aware
+  priority shedding, per-route circuit breakers and queue capacity.
 
 :mod:`repro.guard.campaign` ties them together into the gated
 campaign behind ``repro bench guard``.
@@ -36,10 +36,12 @@ from .fuzz import (
 )
 from .overload import (
     PRIORITIES,
-    BulkheadStats,
     CircuitBreaker,
+    Decision,
     GuardPolicy,
     LoadShedder,
+    Signals,
+    decide,
     parse_priority,
 )
 from .sandbox import (
@@ -72,9 +74,11 @@ __all__ = [
     "replay_corpus",
     "save_case",
     "PRIORITIES",
-    "BulkheadStats",
     "CircuitBreaker",
+    "Decision",
     "GuardPolicy",
     "LoadShedder",
+    "Signals",
+    "decide",
     "parse_priority",
 ]

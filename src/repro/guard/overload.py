@@ -1,26 +1,19 @@
-"""Serve-side overload protection: breakers, bulkheads, shedding.
+"""Serve-side overload protection: one pure admission decision.
 
-Three cooperating mechanisms, all deterministic and clock-injectable
-so the state machines are testable without sleeping:
+:func:`decide` admits or refuses a request from one :class:`Signals`
+snapshot, with no clock, I/O or counters.  Its rules, in precedence
+order: a draining server refuses; with ``shed_p99_ms`` set, a window
+p99 over the threshold sheds ``low`` priority and over twice it also
+``normal`` (``high`` is never shed; unknown ``X-Copernicus-Priority``
+spellings are ``low``); a cache hit answers; an open route
+:class:`CircuitBreaker`, or a half-open one whose single probe is out,
+refuses; a digest in flight coalesces; admitted compute leaders are
+capped at ``max_inflight + queue_limit``; anything else computes.
 
-* :class:`CircuitBreaker` — classic closed → open → half-open per
-  *route*: after ``failure_threshold`` consecutive backend failures
-  the route answers 503 immediately for ``recovery_s`` seconds, then
-  lets exactly one probe through; a probe success closes the breaker,
-  a probe failure re-opens it.  Every transition lands in a typed
-  metrics counter (``guard.breaker.<route>.transition.<from>-<to>``).
-* **Bulkheads** — the server separates cheap traffic (sandbox
-  gating) from expensive sweep computations with independent executor lanes; :class:`BulkheadStats`
-  is the shared accounting the metrics endpoint exports.
-* :class:`LoadShedder` — SLO-aware shedding: a rolling latency window
-  decides a *shed line*; requests whose priority falls below the line
-  are refused with 503 + Retry-After while higher classes keep their
-  latency bounded.  Priorities come from the ``X-Copernicus-Priority``
-  header (:data:`PRIORITIES`; unknown values are treated as ``low``,
-  so a client cannot gain priority by misspelling it).
-
-:class:`GuardPolicy` bundles the tuning knobs the server and CLI
-accept.
+The breaker (closed → open after ``failure_threshold`` consecutive
+failures → half-open after ``recovery_s`` → closed on a probe success)
+and the :class:`LoadShedder` latency window hold the state the
+snapshot reads; :class:`GuardPolicy` bundles the tuning knobs.
 """
 
 from __future__ import annotations
@@ -33,10 +26,13 @@ from ..observability import NULL_METRICS
 
 __all__ = [
     "PRIORITIES",
-    "BulkheadStats",
     "CircuitBreaker",
+    "Decision",
     "GuardPolicy",
     "LoadShedder",
+    "Signals",
+    "UNCACHED_REFUSALS",
+    "decide",
     "parse_priority",
 ]
 
@@ -115,7 +111,8 @@ class CircuitBreaker:
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probing = False
+        #: True while a half-open probe is out.
+        self.probe_taken = False
         #: Transition counts, keyed ``"closed-open"`` etc.
         self.transitions: dict[str, int] = {}
 
@@ -129,7 +126,7 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.recovery_s
         ):
             self._transition("half-open")
-            self._probing = False
+            self.probe_taken = False
         return self._state
 
     def _transition(self, to_state: str) -> None:
@@ -151,20 +148,17 @@ class CircuitBreaker:
         state = self.state
         if state == "closed":
             return True
-        if state == "open" or self._probing:
+        if state == "open" or self.probe_taken:
             return False
-        self._probing = True
+        self.probe_taken = True
         return True
 
     def release(self) -> None:
-        """Hand back the half-open probe without an outcome.
-
-        For a probe whose request ended without a backend call that
-        will report (refused by admission, cancelled): the next caller becomes the probe.  A no-op once
-        an outcome has moved the breaker out of ``half-open``.
-        """
+        """Hand back a half-open probe whose request ends with no
+        backend call left to report, so the next caller probes; a
+        no-op once an outcome has moved the breaker on."""
         if self._state == "half-open":
-            self._probing = False
+            self.probe_taken = False
 
     def record_success(self) -> None:
         self._consecutive_failures = 0
@@ -205,36 +199,11 @@ class CircuitBreaker:
         }
 
 
-@dataclass
-class BulkheadStats:
-    """Shared accounting for one executor lane."""
-
-    lane: str
-    width: int
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "lane": self.lane,
-            "width": self.width,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-        }
-
-
 class LoadShedder:
-    """SLO-aware priority shedding over a rolling latency window.
+    """The rolling latency window behind SLO-aware shedding.
 
-    ``observe`` feeds completed-request latencies; ``shed_class``
-    answers which priority classes must currently be refused:
-
-    * p99 at or under the threshold → shed nothing;
-    * p99 over the threshold → shed ``low``;
-    * p99 over twice the threshold → also shed ``normal``.  ``high``
-      is never shed — that is the bounded p99 the campaign gates.
+    ``observe`` feeds completed-request latencies; :func:`decide`
+    reads the window's :meth:`p99_ms` against ``p99_threshold_ms``.
     """
 
     def __init__(
@@ -242,17 +211,13 @@ class LoadShedder:
         *,
         p99_threshold_ms: "float | None" = None,
         window: int = 256,
-        metrics=NULL_METRICS,
     ) -> None:
         if window < 8:
             raise GuardError(f"window must be >= 8, got {window}")
         self.p99_threshold_ms = p99_threshold_ms
         self.window = window
-        self._metrics = metrics
         self._latencies_ms: list[float] = []
         self._cursor = 0
-        #: Requests shed, keyed by priority class.
-        self.shed_counts: dict[str, int] = {}
 
     @property
     def enabled(self) -> bool:
@@ -266,7 +231,6 @@ class LoadShedder:
         else:
             self._latencies_ms[self._cursor] = value
             self._cursor = (self._cursor + 1) % self.window
-        self._metrics.incr("guard.shed.observed")
 
     def p99_ms(self) -> float:
         """Nearest-rank p99 of the current window (0 when empty)."""
@@ -276,31 +240,64 @@ class LoadShedder:
         rank = max(1, int(0.99 * len(ordered) + 0.9999))
         return ordered[min(rank, len(ordered)) - 1]
 
-    def shed_class(self) -> "tuple[str, ...]":
-        """Priority classes that must be refused right now."""
-        if not self.enabled:
-            return ()
-        p99 = self.p99_ms()
-        if p99 > 2 * self.p99_threshold_ms:
-            return ("normal", "low")
-        if p99 > self.p99_threshold_ms:
-            return ("low",)
-        return ()
-
-    def should_shed(self, priority: str) -> bool:
-        shed = priority in self.shed_class()
-        if shed:
-            self.shed_counts[priority] = (
-                self.shed_counts.get(priority, 0) + 1
-            )
-            self._metrics.incr(f"guard.shed.{priority}")
-        return shed
-
     def snapshot(self) -> dict:
         return {
             "enabled": self.enabled,
             "p99_threshold_ms": self.p99_threshold_ms,
             "window_p99_ms": self.p99_ms(),
             "window_fill": len(self._latencies_ms),
-            "shed_counts": dict(sorted(self.shed_counts.items())),
         }
+
+
+@dataclass(frozen=True)
+class Signals:
+    """One snapshot of everything an admission depends on (the
+    defaults describe an idle, healthy server)."""
+
+    draining: bool = False
+    priority: str = "normal"
+    #: The shed threshold (``None``: off) and the window p99 it meets.
+    shed_p99_ms: "float | None" = None
+    p99_ms: float = 0.0
+    cached: bool = False
+    in_flight: bool = False
+    breaker: str = "closed"
+    probe_taken: bool = False
+    #: Admitted, unfinished compute leaders against their cap.
+    admitted: int = 0
+    capacity: int = 1
+
+
+@dataclass(frozen=True)
+class Decision:
+    """An admit (``cache``, ``coalesce``, ``compute``; ``probe`` when
+    it takes the half-open probe) or a refusal (``draining``,
+    ``shed-low``, ``shed-normal``, ``breaker``, ``queue-full``)."""
+
+    admit: str = ""
+    refuse: str = ""
+    probe: bool = False
+
+
+#: The refusals :func:`decide` reaches before it consults the cache.
+UNCACHED_REFUSALS = ("draining", "shed-low", "shed-normal")
+
+
+def decide(signals: Signals) -> Decision:
+    """Admit or refuse one request; the rule order is the precedence."""
+    if signals.draining:
+        return Decision(refuse="draining")
+    if signals.shed_p99_ms is not None and signals.priority != "high":
+        factor = 2 if signals.priority == "normal" else 1
+        if signals.p99_ms > factor * signals.shed_p99_ms:
+            return Decision(refuse=f"shed-{signals.priority}")
+    if signals.cached:
+        return Decision(admit="cache")
+    probe = signals.breaker == "half-open"
+    if signals.breaker == "open" or (probe and signals.probe_taken):
+        return Decision(refuse="breaker")
+    if signals.in_flight:
+        return Decision(admit="coalesce", probe=probe)
+    if signals.admitted >= signals.capacity:
+        return Decision(refuse="queue-full")
+    return Decision(admit="compute", probe=probe)

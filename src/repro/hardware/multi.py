@@ -5,11 +5,13 @@ implementing coarse-grain parallelism."  This model aggregates ``n``
 copies of the Figure-2 pipeline, each processing whole partitions,
 all drawing from the one DDR3 channel:
 
-* non-zero partitions are dispatched greedily to the least-loaded
-  lane (longest-processing-time order, the classic 4/3-approximation);
-* each lane's compute runs independently, but transfers serialize on
-  the shared memory bus;
-* the run finishes when the slowest lane drains.
+* a lane is busy for ``max(memory, compute)`` per partition, and
+  partitions go greedily to the least-busy lane (longest-processing-
+  time order, the classic 4/3-approximation);
+* lanes run independently, but transfers serialize on the shared
+  memory bus;
+* the run is the streaming pipeline's fill and drain around the
+  longer of the bus and the busiest lane, so one lane *is* it.
 
 The interesting output is the *scaling curve*: compute-bound formats
 (CSC, CSR at high density) scale nearly linearly until the aggregate
@@ -42,6 +44,8 @@ class LaneAssignment:
     partition_indices: tuple[int, ...]
     compute_cycles: int
     memory_cycles: int
+    #: Sum of ``max(memory, compute)`` over the lane's partitions.
+    busy_cycles: int
 
 
 @dataclass(frozen=True)
@@ -53,28 +57,33 @@ class MultiLaneResult:
     partition_size: int
     assignments: tuple[LaneAssignment, ...]
     total_memory_cycles: int
+    fill_cycles: int
+    drain_cycles: int
 
     @property
     def compute_makespan(self) -> int:
         """Cycles until the most-loaded lane drains its compute."""
-        if not self.assignments:
-            return 0
-        return max(a.compute_cycles for a in self.assignments)
+        return max((a.compute_cycles for a in self.assignments), default=0)
+
+    @property
+    def lane_makespan(self) -> int:
+        """Busy cycles of the busiest lane."""
+        return max((a.busy_cycles for a in self.assignments), default=0)
 
     @property
     def total_cycles(self) -> int:
         """End-to-end cycles: lanes overlap, the shared bus does not.
 
-        The run is bounded below by both the serialized transfers and
-        the slowest lane's compute; with double buffering the two
-        overlap, so the slower of the two dominates.
+        Between fill and drain the slower of the serialized transfers
+        and the busiest lane dominates.
         """
-        return max(self.total_memory_cycles, self.compute_makespan)
+        steady = max(self.total_memory_cycles, self.lane_makespan)
+        return self.fill_cycles + steady + self.drain_cycles
 
     @property
     def bound(self) -> str:
         """``"memory"`` when the shared bus dominates the makespan."""
-        if self.total_memory_cycles >= self.compute_makespan:
+        if self.total_memory_cycles >= self.lane_makespan:
             return "memory"
         return "compute"
 
@@ -133,24 +142,25 @@ class MultiLanePipeline:
         self, profiles: ProfileTable | Sequence[PartitionProfile]
     ) -> MultiLaneResult:
         """Dispatch every partition and total the run."""
-        costs = self.pipeline.stage_costs(profiles)
-        memory_cycles = costs.memory.tolist()
-        compute_cycles = costs.compute.total_cycles.tolist()
+        single = self.pipeline.run(profiles)
+        memory_cycles = single.memory_per_partition.tolist()
+        compute_cycles = single.compute.total_cycles.tolist()
+        busy_cycles = map(max, memory_cycles, compute_cycles)
 
-        # longest-processing-time greedy onto the least-loaded lane.
+        # longest-processing-time greedy onto the least-busy lane.
         lane_compute = [0] * self.n_lanes
         lane_memory = [0] * self.n_lanes
         lane_indices: list[list[int]] = [[] for _ in range(self.n_lanes)]
         heap = [(0, lane) for lane in range(self.n_lanes)]
-        for compute, memory, index in sorted(
-            zip(compute_cycles, memory_cycles, range(len(memory_cycles))),
-            reverse=True,
+        for busy, index in sorted(
+            zip(busy_cycles, range(len(memory_cycles))), reverse=True
         ):
             load, lane = heapq.heappop(heap)
-            lane_compute[lane] += compute
-            lane_memory[lane] += memory
+            lane_compute[lane] += compute_cycles[index]
+            lane_memory[lane] += memory_cycles[index]
             lane_indices[lane].append(index)
-            heapq.heappush(heap, (load + compute, lane))
+            heapq.heappush(heap, (load + busy, lane))
+        lane_busy = {lane: load for load, lane in heap}
 
         assignments = tuple(
             LaneAssignment(
@@ -158,13 +168,16 @@ class MultiLanePipeline:
                 partition_indices=tuple(sorted(lane_indices[lane])),
                 compute_cycles=lane_compute[lane],
                 memory_cycles=lane_memory[lane],
+                busy_cycles=lane_busy[lane],
             )
             for lane in range(self.n_lanes)
         )
         return MultiLaneResult(
-            format_name=costs.format_name,
+            format_name=single.format_name,
             n_lanes=self.n_lanes,
-            partition_size=costs.partition_size,
+            partition_size=single.partition_size,
             assignments=assignments,
             total_memory_cycles=sum(memory_cycles),
+            fill_cycles=single.fill_cycles,
+            drain_cycles=single.drain_cycles,
         )

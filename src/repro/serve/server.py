@@ -10,26 +10,22 @@ format" queries over the sweep engine, stdlib only::
 
 The concurrency mechanics, in the order a request meets them:
 
-1. **LRU result cache** — completed responses, keyed by query digest,
-   stored as canonical bytes.  A hit skips everything below.
-2. **Single-flight coalescing** — concurrent requests with one digest
-   share one backend computation
-   (:class:`~repro.engine.SingleFlight`); waiters receive the same
-   bytes, and a cancelled or timed-out waiter never cancels the
-   shared work.
-3. **Admission control** — at most ``max_inflight`` backend
-   computations run concurrently; at most ``queue_limit`` leaders may
-   wait for a slot.  Beyond that the server answers ``429`` with a
-   structured body instead of building an unbounded backlog.
-4. **Overload guard** (always armed, tuned by
-   :class:`~repro.guard.GuardPolicy`) — a draining server refuses new
-   queries; SLO-aware shedding refuses low-priority work once the
-   rolling p99 crosses ``shed_p99_ms`` (off by default); a per-route
-   circuit breaker answers at once after ``breaker_threshold``
-   consecutive backend failures until one probe succeeds; sandbox
-   work runs on its own two-thread cheap lane, so it never queues
-   behind sweep computations.
-5. **Per-request budget** — with ``budget_s`` set, a request that
+1. **Parse** — the body becomes a typed query and its digest.  An
+   inline ``mtx`` workload the cache has not seen is first proved in
+   the resource-capped sandbox (on its own thread), so a poison
+   matrix costs one verdict, never a serve worker.
+2. **One admission decision** — :func:`~repro.guard.decide` reads one
+   snapshot (draining, the SLO shed line, the LRU result cache, the
+   single-flight table, the route's circuit breaker, and admitted
+   compute leaders against ``max_inflight + queue_limit``) and
+   refuses (503 draining, shed or breaker open; 429 queue full) or
+   admits: from the cache, coalesced onto the digest's in-flight
+   computation (:class:`~repro.engine.SingleFlight`; a cancelled
+   waiter never cancels the shared work), or as a new computation
+   whose slot is reserved in the same synchronous step.
+3. **Backend** — at most ``max_inflight`` computations run at once;
+   each outcome feeds the route's breaker.
+4. **Per-request budget** — with ``budget_s`` set, a request that
    cannot be answered in time *degrades* instead of hanging: first to
    a cached answer for the cheaper approximate form of the query (its
    smallest partition size), then to computing that approximate
@@ -38,10 +34,11 @@ The concurrency mechanics, in the order a request meets them:
    the next asker.  Degraded responses are marked with the
    ``X-Copernicus-Degraded`` header — never in the body, which stays
    byte-identical per digest.
-6. **Telemetry** — every request increments counters and records a
+5. **Telemetry** — every request increments counters and records a
    labelled span in the server's
    :class:`~repro.observability.MetricsRegistry`, exported live at
-   ``GET /metrics`` (``metrics/v1``).
+   ``GET /metrics`` (``metrics/v1``); every refusal or degradation
+   counts once under ``serve.decision.<refuse|degrade>.<reason>``.
 
 Every query error and refusal is raised — refusals as typed
 :class:`~repro.errors.ServeError` subclasses carrying
@@ -59,7 +56,6 @@ import asyncio
 import functools
 import json
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -79,10 +75,13 @@ from ..errors import (
     ServeShedError,
 )
 from ..guard.overload import (
-    BulkheadStats,
     CircuitBreaker,
+    Decision,
     GuardPolicy,
     LoadShedder,
+    Signals,
+    UNCACHED_REFUSALS,
+    decide,
     parse_priority,
 )
 from ..guard.sandbox import Sandbox, SandboxLimits
@@ -126,9 +125,6 @@ READ_TIMEOUT_S = 30.0
 
 #: Spans kept in the live registry (oldest dropped beyond this).
 SPAN_CAP = 2048
-
-#: Thread-pool width of the cheap (sandbox) bulkhead lane.
-CHEAP_LANE_WIDTH = 2
 
 
 class _ProtocolError(ServeError):
@@ -215,21 +211,16 @@ class CharacterizationServer:
         #: Backend calls running per route (their outcomes are pending).
         self._backend_calls: dict[str, int] = {}
         self.shedder = LoadShedder(
-            p99_threshold_ms=guard_policy.shed_p99_ms,
-            metrics=self.metrics,
+            p99_threshold_ms=guard_policy.shed_p99_ms
         )
-        self._sandbox_limits = sandbox_limits or SandboxLimits()
-        self._sandbox: Sandbox | None = None
-        self._sandbox_spawn_lock = threading.Lock()
-        self._bulkheads = {
-            "compute": BulkheadStats("compute", max_inflight),
-            "cheap": BulkheadStats("cheap", CHEAP_LANE_WIDTH),
-        }
+        # spawns its child on the first job
+        self._sandbox = Sandbox(sandbox_limits or SandboxLimits())
         self._semaphore: asyncio.Semaphore | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._cheap_executor: ThreadPoolExecutor | None = None
+        self._sandbox_executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._waiting = 0
+        #: Compute leaders admitted, running or waiting for a slot.
+        self._admitted = 0
         self._running = 0
         self._draining = False
         self._inflight: set[asyncio.Task] = set()
@@ -249,11 +240,10 @@ class CharacterizationServer:
             max_workers=self.max_inflight,
             thread_name_prefix="repro-serve",
         )
-        # the bulkhead: cheap sandbox work never queues
-        # behind (or starves) expensive sweep computations
-        self._cheap_executor = ThreadPoolExecutor(
-            max_workers=CHEAP_LANE_WIDTH,
-            thread_name_prefix="repro-serve-cheap",
+        # sandbox jobs never queue behind sweep computations; one
+        # thread, as the sandbox runs one job at a time
+        self._sandbox_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-sandbox"
         )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -331,17 +321,11 @@ class CharacterizationServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self._cheap_executor is not None:
-            self._cheap_executor.shutdown(
-                wait=False, cancel_futures=True
-            )
-            self._cheap_executor = None
-        if self._sandbox is not None:
-            self._sandbox.close()
-            self._sandbox = None
+        for executor in (self._executor, self._sandbox_executor):
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = self._sandbox_executor = None
+        self._sandbox.close()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -475,7 +459,7 @@ class CharacterizationServer:
         ), {"Allow": allow}
 
     # ------------------------------------------------------------------
-    # The query path: cache -> single-flight -> admission -> backend
+    # The query path: parse -> decide -> cache / flight -> backend
     # ------------------------------------------------------------------
     async def _handle_query(
         self, endpoint: str, body: bytes, priority: str = "normal"
@@ -486,21 +470,6 @@ class CharacterizationServer:
         status, source, degraded = 500, "error", ""
         digest = ""
         try:
-            if self._draining:
-                # GET /metrics and /healthz stay up for the final
-                # scrape; only new query work is refused
-                self.metrics.incr("serve.drain.refused")
-                raise ServeDrainingError(
-                    "server is draining and not accepting new work; "
-                    "retry against another instance"
-                )
-            if self.shedder.should_shed(priority):
-                raise ServeShedError(
-                    f"shedding {priority!r}-priority work: request "
-                    f"p99 {self.shedder.p99_ms():.0f}ms crossed the "
-                    "configured SLO threshold; retry after backoff or "
-                    "raise X-Copernicus-Priority"
-                )
             try:
                 payload = json.loads(body)
             except json.JSONDecodeError as error:
@@ -509,8 +478,11 @@ class CharacterizationServer:
                 ) from None
             query = parse_query(endpoint, payload, max_dim=self.max_dim)
             digest = query_digest(query)
+            if query.spec.kind == "mtx" and digest not in self.cache:
+                # untrusted bytes cross the sandbox boundary first
+                await self._sandbox_gate(query)
             response, source, degraded = await self._answer(
-                query, digest
+                query, digest, priority
             )
             status = 200
             headers = {
@@ -543,122 +515,144 @@ class CharacterizationServer:
             )
 
     async def _answer(
-        self, query: Query, digest: str
+        self, query: Query, digest: str, priority: str
     ) -> tuple[bytes, str, str]:
-        """Response bytes plus (source, degraded) markers."""
-        cached = self.cache.get(digest)
-        if cached is not None:
-            self.metrics.incr("serve.cache.hits")
-            return cached, "cache", ""
-        self.metrics.incr("serve.cache.misses")
-        if query.spec.kind == "mtx":
-            # untrusted bytes cross the sandbox boundary before any
-            # in-process parse — a poison matrix costs one verdict,
-            # never a serve worker
-            await self._sandbox_gate(query)
-        breaker = self._breaker(query.endpoint)
-        probe = breaker.state == "half-open"
-        if not breaker.allow():
-            raise ServeCircuitOpenError(
-                f"circuit breaker for /{query.endpoint} is "
-                f"{breaker.state}: the backend failed "
-                f"{breaker.failure_threshold} consecutive times; "
-                "retry after backoff",
-                breaker.retry_after_s(),
+        """Response bytes plus (source, degraded) markers.
+
+        Snapshot, decision, counting and act are one synchronous step,
+        so nothing changes between what the decision read and what it
+        admitted.
+        """
+        route = query.endpoint
+        breaker = self._breaker(route)
+        signals = Signals(
+            draining=self._draining,
+            priority=priority,
+            shed_p99_ms=self.shedder.p99_threshold_ms,
+            p99_ms=self.shedder.p99_ms() if self.shedder.enabled else 0.0,
+            cached=digest in self.cache,
+            in_flight=self.flight.is_inflight(digest),
+            breaker=breaker.state,  # may advance open -> half-open
+            probe_taken=breaker.probe_taken,
+            admitted=self._admitted,
+            capacity=self.max_inflight + self.queue_limit,
+        )
+        decision = decide(signals)
+        if decision.refuse not in UNCACHED_REFUSALS:
+            cached = self.cache.get(digest)
+            self.metrics.incr(
+                "serve.cache.misses" if cached is None
+                else "serve.cache.hits"
             )
+            if cached is not None:
+                return cached, "cache", ""
+        future = self._act(decision, signals, query, digest)
+        if decision.probe:
+            breaker.allow()  # takes the half-open probe
         try:
-            waiter = self._shared_flight(query, digest)
             if self.budget_s is None:
-                body, led = await waiter
-                return body, self._flight_source(led), ""
-            try:
-                body, led = await asyncio.wait_for(
-                    waiter, timeout=self.budget_s
-                )
-                return body, self._flight_source(led), ""
-            except asyncio.TimeoutError:
-                # the shared computation keeps running for future
-                # askers; this request degrades instead of hanging
-                self.metrics.incr("serve.budget.expired")
-                return await self._degrade(query)
+                body = await future
+            else:
+                try:
+                    body = await asyncio.wait_for(
+                        future, timeout=self.budget_s
+                    )
+                except asyncio.TimeoutError:
+                    # the shared computation keeps running for future
+                    # askers; this request degrades instead of hanging
+                    return await self._degrade(query)
         finally:
             # only a backend call reports an outcome: a probe answered
-            # without one (429, cancelled) hands the
-            # probe back unless a running call on the route still will
-            if probe and not self._backend_calls.get(query.endpoint):
+            # without one (cancelled, budget-blown) hands the probe
+            # back unless a running call on the route still will
+            if decision.probe and not self._backend_calls.get(route):
                 breaker.release()
-
-    def _flight_source(self, led: bool) -> str:
-        """Source marker + coalesce counters for one completed flight.
-
-        Leadership is ground truth — only the leader's factory ran —
-        so the coalesce counters agree exactly with the backend
-        computation count, with no check-then-await race.
-        """
+        # the decision is ground truth: only a leader's flight computes
+        led = decision.admit == "compute"
         self.metrics.incr(
             "serve.coalesce.misses" if led else "serve.coalesce.hits"
         )
-        return "computed" if led else "coalesced"
+        return body, "computed" if led else "coalesced", ""
 
-    async def _shared_flight(
-        self, query: Query, digest: str
-    ) -> tuple[bytes, bool]:
-        """Coalesced response bytes plus whether this caller led.
+    def _act(
+        self, decision: Decision, signals: Signals, query: Query, digest: str
+    ) -> asyncio.Future:
+        """Count and raise a refusal, or join the digest's flight.
 
-        ``led`` is True only when this request's factory actually ran
-        (i.e. it started the shared computation); every other caller
-        piggy-backed on an in-flight future.
+        A compute leader's slot is reserved here, in the step that
+        decided it, so a burst is admitted exactly up to capacity.
         """
-        led = False
+        if decision.refuse:
+            self.metrics.incr(f"serve.decision.refuse.{decision.refuse}")
+            raise self._refusal(decision.refuse, signals, query.endpoint)
+        if decision.admit == "compute":
+            self._admitted += 1
+        return self.flight.run(
+            digest, functools.partial(self._admitted_compute, query, digest)
+        )
 
-        async def factory() -> bytes:
-            nonlocal led
-            led = True
-            body = await self._admitted_compute(query)
-            self.cache.put(digest, body)
-            return body
-
-        body = await self.flight.run(digest, factory)
-        return body, led
-
-    async def _admitted_compute(self, query: Query) -> bytes:
-        """Run the backend under admission control (leaders only)."""
-        if self._waiting >= self.queue_limit:
-            self._bulkheads["compute"].rejected += 1
-            raise ServeOverloadedError(
-                f"server at capacity: {self._running} computations "
-                f"running, {self._waiting} queued (limit "
+    def _refusal(
+        self, reason: str, signals: Signals, route: str
+    ) -> ServeError:
+        """The typed error, message and ``retry_after_s`` of a refusal."""
+        if reason == "draining":
+            # GET /metrics and /healthz stay up for the final scrape;
+            # only new query work is refused
+            return ServeDrainingError(
+                "server is draining and not accepting new work; "
+                "retry against another instance"
+            )
+        if reason == "breaker":
+            breaker = self._breakers[route]
+            return ServeCircuitOpenError(
+                f"circuit breaker for /{route} is {signals.breaker}: "
+                f"the backend failed {breaker.failure_threshold} "
+                "consecutive times; retry after backoff",
+                breaker.retry_after_s(),
+            )
+        if reason == "queue-full":
+            # admitted leaders take free slots first; the rest queue
+            running = min(signals.admitted, self.max_inflight)
+            return ServeOverloadedError(
+                f"server at capacity: {running} computations running, "
+                f"{signals.admitted - running} queued (limit "
                 f"{self.queue_limit}); retry later"
             )
-        self._waiting += 1
-        try:
-            await self._semaphore.acquire()
-        finally:
-            self._waiting -= 1
-        self._running += 1
-        stats = self._bulkheads["compute"]
-        stats.submitted += 1
-        breaker = self._breaker(query.endpoint)
+        return ServeShedError(
+            f"shedding {signals.priority!r}-priority work: request "
+            f"p99 {signals.p99_ms:.0f}ms crossed the configured SLO "
+            "threshold; retry after backoff or raise "
+            "X-Copernicus-Priority"
+        )
+
+    async def _admitted_compute(self, query: Query, digest: str) -> bytes:
+        """An admitted leader's flight: wait for a backend slot, run the
+        call, report its outcome to the route's breaker, cache it."""
         route = query.endpoint
-        self._backend_calls[route] = self._backend_calls.get(route, 0) + 1
+        breaker = self._breaker(route)
         try:
-            loop = asyncio.get_running_loop()
-            body = await loop.run_in_executor(
-                self._executor,
-                functools.partial(self.backend.execute_bytes, query),
-            )
-        except Exception:
-            # the backend (not admission) failed: feed the breaker
-            breaker.record_failure()
-            raise
-        else:
-            breaker.record_success()
-            return body
+            async with self._semaphore:
+                self._running += 1
+                self._backend_calls[route] = (
+                    self._backend_calls.get(route, 0) + 1
+                )
+                try:
+                    body = await asyncio.get_running_loop().run_in_executor(
+                        self._executor,
+                        functools.partial(self.backend.execute_bytes, query),
+                    )
+                except Exception:
+                    breaker.record_failure()
+                    raise
+                else:
+                    breaker.record_success()
+                finally:
+                    self._backend_calls[route] -= 1
+                    self._running -= 1
         finally:
-            self._backend_calls[route] -= 1
-            stats.completed += 1
-            self._running -= 1
-            self._semaphore.release()
+            self._admitted -= 1
+        self.cache.put(digest, body)
+        return body
 
     # ------------------------------------------------------------------
     # The guard layer: breaker lookup and the sandbox boundary
@@ -680,23 +674,18 @@ class CharacterizationServer:
         """Prove an untrusted ``mtx`` workload inside the sandbox.
 
         Runs parse + profile (the costliest pre-compute stages) in the
-        resource-capped subprocess on the cheap lane; anything but an
-        ``ok`` verdict refuses the query with the typed
-        :class:`ServeSandboxError` before the matrix reaches a serve
-        worker.
+        resource-capped subprocess; anything but an ``ok`` verdict
+        refuses the query with the typed :class:`ServeSandboxError`
+        before the matrix reaches a serve worker.
         """
         content = dict(query.spec.params)["content"]
         p = max(query.partitions) if query.partitions else 8
-        loop = asyncio.get_running_loop()
-        stats = self._bulkheads["cheap"]
-        stats.submitted += 1
-        try:
-            verdict = await loop.run_in_executor(
-                self._cheap_executor,
-                functools.partial(self._sandbox_profile, content, p),
-            )
-        finally:
-            stats.completed += 1
+        verdict = await asyncio.get_running_loop().run_in_executor(
+            self._sandbox_executor,
+            functools.partial(
+                self._sandbox.run, "profile", mtx=content, p=p
+            ),
+        )
         self.metrics.incr(f"serve.sandbox.{verdict.kind}")
         if verdict.kind == "rejected":
             raise ServeSandboxError(
@@ -715,24 +704,19 @@ class CharacterizationServer:
                 f"server's max_dim {self.max_dim}"
             )
 
-    def _sandbox_profile(self, content: str, p: int):
-        """Synchronous sandbox round-trip (runs on the cheap lane)."""
-        if self._sandbox is None:
-            with self._sandbox_spawn_lock:
-                if self._sandbox is None:
-                    self._sandbox = Sandbox(self._sandbox_limits)
-        return self._sandbox.run("profile", mtx=content, p=p)
-
     async def _degrade(self, query: Query) -> tuple[bytes, str, str]:
         """Answer a budget-blown request without the full computation.
 
         The degradation ladder: a cached answer for the approximate
         query (its smallest partition size), then computing that
         approximate answer within one grace budget, then a structured
-        ``504``.
+        ``504``.  A blown budget is only known after waiting, so the
+        ladder runs here, not in :func:`decide`; its rungs are counted
+        in the same ``serve.decision.*`` family.
         """
         approximate = query.approximate()
         if approximate is None:
+            self.metrics.incr("serve.decision.refuse.budget")
             raise ServeBudgetError(
                 f"request budget of {self.budget_s}s expired and the "
                 "query has no cheaper approximate form; retry later "
@@ -741,20 +725,28 @@ class CharacterizationServer:
         approx_digest = query_digest(approximate)
         cached = self.cache.get(approx_digest)
         if cached is not None:
-            self.metrics.incr("serve.degraded.cached")
+            self.metrics.incr("serve.decision.degrade.cached-approximate")
             return cached, "cache", "cached-approximate"
-        waiter = self._shared_flight(approximate, approx_digest)
+        # the request was admitted already: only the flight table and
+        # capacity decide whether its approximate form may compute
+        signals = Signals(
+            in_flight=self.flight.is_inflight(approx_digest),
+            admitted=self._admitted,
+            capacity=self.max_inflight + self.queue_limit,
+        )
+        future = self._act(
+            decide(signals), signals, approximate, approx_digest
+        )
         try:
-            body, _ = await asyncio.wait_for(
-                waiter, timeout=self.budget_s
-            )
+            body = await asyncio.wait_for(future, timeout=self.budget_s)
         except asyncio.TimeoutError:
+            self.metrics.incr("serve.decision.refuse.budget")
             raise ServeBudgetError(
                 f"request budget of {self.budget_s}s expired twice "
                 "(full and approximate query); retry later (both "
                 "computations continue in the background)"
             ) from None
-        self.metrics.incr("serve.degraded.computed")
+        self.metrics.incr("serve.decision.degrade.approximate")
         return body, "computed", "approximate"
 
     # ------------------------------------------------------------------
@@ -793,7 +785,7 @@ class CharacterizationServer:
                     "queue_limit": self.queue_limit,
                     "budget_s": self.budget_s,
                     "running": self._running,
-                    "waiting": self._waiting,
+                    "waiting": self._admitted - self._running,
                     "inflight_digests": len(self.flight),
                     "computations": self.backend.computations,
                 },
@@ -812,24 +804,10 @@ class CharacterizationServer:
                         )
                     },
                     "shedder": self.shedder.snapshot(),
-                    "bulkheads": {
-                        name: stats.snapshot()
-                        for name, stats in sorted(
-                            self._bulkheads.items()
-                        )
-                    },
                     "sandbox": {
-                        "spawned": self._sandbox is not None,
-                        "spawns": (
-                            self._sandbox.spawns
-                            if self._sandbox is not None
-                            else 0
-                        ),
-                        "jobs": (
-                            self._sandbox.jobs
-                            if self._sandbox is not None
-                            else 0
-                        ),
+                        "spawned": self._sandbox.spawns > 0,
+                        "spawns": self._sandbox.spawns,
+                        "jobs": self._sandbox.jobs,
                     },
                 },
             },

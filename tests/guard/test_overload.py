@@ -1,8 +1,9 @@
-"""The overload-protection state machines, driven by a fake clock.
+"""The overload-protection state machines and the admission table.
 
 No sleeping: the breaker takes an injectable ``clock`` so open →
-half-open transitions are a variable assignment, and the shedder is
-pure arithmetic over its window.
+half-open transitions are a variable assignment, the shedder is pure
+arithmetic over its window, and :func:`decide` is a pure function
+tested row by row.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import pytest
 from repro.errors import GuardError
 from repro.guard import (
     PRIORITIES,
-    BulkheadStats,
     CircuitBreaker,
+    Decision,
     GuardPolicy,
     LoadShedder,
+    Signals,
+    decide,
     parse_priority,
 )
 from repro.observability import MetricsRegistry
@@ -177,27 +180,48 @@ class TestCircuitBreaker:
             make_breaker(clock, recovery_s=0.0)
 
 
+def shed_decision(shedder: LoadShedder, priority: str) -> Decision:
+    """What :func:`decide` makes of ``priority`` against the window."""
+    return decide(
+        Signals(
+            priority=priority,
+            shed_p99_ms=shedder.p99_threshold_ms,
+            p99_ms=shedder.p99_ms(),
+        )
+    )
+
+
+SHED = {
+    "low": Decision(refuse="shed-low"),
+    "normal": Decision(refuse="shed-normal"),
+}
+COMPUTE = Decision(admit="compute")
+
+
 class TestLoadShedder:
     def test_disabled_sheds_nothing(self) -> None:
         shedder = LoadShedder()
         assert not shedder.enabled
-        assert shedder.shed_class() == ()
+        for _ in range(16):
+            shedder.observe(10.0)
+        for priority in PRIORITIES:
+            assert shed_decision(shedder, priority) == COMPUTE
 
     def test_p99_over_threshold_sheds_low_only(self) -> None:
         shedder = LoadShedder(p99_threshold_ms=100.0)
         for _ in range(16):
             shedder.observe(0.150)  # 150ms: over, not 2x over
-        assert shedder.shed_class() == ("low",)
-        assert shedder.should_shed("low")
-        assert not shedder.should_shed("normal")
-        assert not shedder.should_shed("high")
+        assert shed_decision(shedder, "low") == SHED["low"]
+        assert shed_decision(shedder, "normal") == COMPUTE
+        assert shed_decision(shedder, "high") == COMPUTE
 
     def test_severe_p99_sheds_normal_too(self) -> None:
         shedder = LoadShedder(p99_threshold_ms=100.0)
         for _ in range(16):
             shedder.observe(0.500)
-        assert shedder.shed_class() == ("normal", "low")
-        assert not shedder.should_shed("high")
+        assert shed_decision(shedder, "low") == SHED["low"]
+        assert shed_decision(shedder, "normal") == SHED["normal"]
+        assert shed_decision(shedder, "high") == COMPUTE
 
     def test_window_rolls(self) -> None:
         shedder = LoadShedder(p99_threshold_ms=100.0, window=8)
@@ -206,28 +230,108 @@ class TestLoadShedder:
         for _ in range(8):
             shedder.observe(0.001)
         assert shedder.p99_ms() < 100.0
-        assert shedder.shed_class() == ()
-
-    def test_shed_counts_by_priority(self) -> None:
-        shedder = LoadShedder(p99_threshold_ms=100.0)
-        for _ in range(16):
-            shedder.observe(0.150)  # over, not 2x over: low only
-        shedder.should_shed("low")
-        shedder.should_shed("low")
-        shedder.should_shed("normal")
-        assert shedder.shed_counts == {"low": 2}
-        assert shedder.snapshot()["shed_counts"] == {"low": 2}
+        assert shed_decision(shedder, "low") == COMPUTE
 
     def test_snapshot_fields(self) -> None:
         snapshot = LoadShedder(p99_threshold_ms=5.0).snapshot()
         assert set(snapshot) == {
             "enabled", "p99_threshold_ms", "window_p99_ms",
-            "window_fill", "shed_counts",
+            "window_fill",
         }
 
     def test_tiny_window_rejected(self) -> None:
         with pytest.raises(GuardError):
             LoadShedder(window=4)
+
+
+#: Signals of a server shedding ``low`` (p99 over the threshold, not
+#: twice over it) — the shed rows' base.
+SHEDDING = dict(shed_p99_ms=100.0, p99_ms=150.0)
+#: Admitted compute leaders at the cap (``max_inflight + queue_limit``).
+FULL = dict(admitted=3, capacity=3)
+
+#: One row per rule, then the precedence rows: (id, signals, decision).
+DECIDE_TABLE = [
+    ("idle-computes", {}, Decision(admit="compute")),
+    ("draining", {"draining": True}, Decision(refuse="draining")),
+    ("shed-low", {**SHEDDING, "priority": "low"},
+     Decision(refuse="shed-low")),
+    ("shed-line-normal-spared", {**SHEDDING, "priority": "normal"},
+     Decision(admit="compute")),
+    ("shed-normal-over-2x",
+     {"shed_p99_ms": 100.0, "p99_ms": 201.0, "priority": "normal"},
+     Decision(refuse="shed-normal")),
+    ("shed-never-high",
+     {"shed_p99_ms": 100.0, "p99_ms": 1e9, "priority": "high"},
+     Decision(admit="compute")),
+    ("shed-at-threshold-admits",
+     {"shed_p99_ms": 100.0, "p99_ms": 100.0, "priority": "low"},
+     Decision(admit="compute")),
+    ("shedding-off-ignores-p99", {"p99_ms": 1e9, "priority": "low"},
+     Decision(admit="compute")),
+    ("cache-hit", {"cached": True}, Decision(admit="cache")),
+    ("breaker-open", {"breaker": "open"}, Decision(refuse="breaker")),
+    ("coalesce", {"in_flight": True}, Decision(admit="coalesce")),
+    ("queue-full", FULL, Decision(refuse="queue-full")),
+    ("under-capacity", {"admitted": 2, "capacity": 3},
+     Decision(admit="compute")),
+    # half-open: one probe, then refusals until it reports
+    ("half-open-free-probe", {"breaker": "half-open"},
+     Decision(admit="compute", probe=True)),
+    ("half-open-probe-taken",
+     {"breaker": "half-open", "probe_taken": True},
+     Decision(refuse="breaker")),
+    ("half-open-probe-coalesces",
+     {"breaker": "half-open", "in_flight": True},
+     Decision(admit="coalesce", probe=True)),
+    # precedence
+    ("draining-beats-cache-hit", {"draining": True, "cached": True},
+     Decision(refuse="draining")),
+    ("draining-beats-shed",
+     {**SHEDDING, "priority": "low", "draining": True},
+     Decision(refuse="draining")),
+    ("shed-beats-cache-hit",
+     {**SHEDDING, "priority": "low", "cached": True},
+     Decision(refuse="shed-low")),
+    ("cache-hit-beats-open-breaker", {"cached": True, "breaker": "open"},
+     Decision(admit="cache")),
+    ("cache-hit-beats-taken-probe",
+     {"cached": True, "breaker": "half-open", "probe_taken": True},
+     Decision(admit="cache")),
+    ("cache-hit-beats-full-queue", {**FULL, "cached": True},
+     Decision(admit="cache")),
+    ("breaker-beats-coalesce", {"breaker": "open", "in_flight": True},
+     Decision(refuse="breaker")),
+    ("breaker-beats-queue-full", {**FULL, "breaker": "open"},
+     Decision(refuse="breaker")),
+    ("coalesce-never-queue-full", {**FULL, "in_flight": True},
+     Decision(admit="coalesce")),
+    ("coalesce-never-queue-full-over-cap",
+     {"admitted": 9, "capacity": 3, "in_flight": True},
+     Decision(admit="coalesce")),
+    ("full-queue-keeps-the-free-probe", {**FULL, "breaker": "half-open"},
+     Decision(refuse="queue-full")),
+]
+
+
+class TestDecide:
+    @pytest.mark.parametrize(
+        ("signals", "expected"),
+        [(signals, expected) for _, signals, expected in DECIDE_TABLE],
+        ids=[row_id for row_id, _, _ in DECIDE_TABLE],
+    )
+    def test_table(self, signals, expected) -> None:
+        assert decide(Signals(**signals)) == expected
+
+    def test_every_outcome_has_a_row(self) -> None:
+        outcomes = {
+            expected.admit or expected.refuse
+            for _, _, expected in DECIDE_TABLE
+        }
+        assert outcomes == {
+            "cache", "coalesce", "compute", "draining", "shed-low",
+            "shed-normal", "breaker", "queue-full",
+        }
 
 
 class TestPriorities:
@@ -271,18 +375,3 @@ class TestGuardPolicy:
     def test_validation(self, kwargs) -> None:
         with pytest.raises(GuardError):
             GuardPolicy(**kwargs)
-
-
-class TestBulkheadStats:
-    def test_snapshot(self) -> None:
-        stats = BulkheadStats("compute", 4)
-        stats.submitted += 2
-        stats.completed += 1
-        stats.rejected += 1
-        assert stats.snapshot() == {
-            "lane": "compute",
-            "width": 4,
-            "submitted": 2,
-            "completed": 1,
-            "rejected": 1,
-        }

@@ -85,7 +85,7 @@ class TestDrainRefusal:
                 snapshot = await drain_task
                 counters = snapshot["counters"]
                 assert counters["serve.drain.initiated"] == 1
-                assert counters["serve.drain.refused"] == 1
+                assert counters["serve.decision.refuse.draining"] == 1
                 assert counters["serve.http.503"] == 1
                 writer.close()
 
@@ -190,7 +190,7 @@ class TestDrainAccounting:
                 assert (refused, cancelled) == (503, 503)
                 assert headers["retry-after"] == "1"
                 counters = snapshot["counters"]
-                assert counters["serve.drain.refused"] == 1
+                assert counters["serve.decision.refuse.draining"] == 1
                 assert counters["serve.drain.cancelled"] == 1
                 assert counters["serve.requests"] == 2
                 assert counters["serve.http.503"] == 2

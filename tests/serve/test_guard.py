@@ -363,8 +363,9 @@ class TestLoadShedding:
                 # an unknown spelling cannot buy priority
                 status, _, _ = await probe("urgent", 54)
                 assert status == 503
-                counts = server.shedder.shed_counts
-                assert counts["low"] >= 2 and counts["normal"] >= 1
+                counters = server.metrics.snapshot()["counters"]
+                assert counters["serve.decision.refuse.shed-low"] == 2
+                assert counters["serve.decision.refuse.shed-normal"] == 1
 
         asyncio.run(main())
 
@@ -395,7 +396,6 @@ class TestGuardMetrics:
                 )
                 assert guard["shedder"]["enabled"] is True
                 assert guard["shedder"]["window_fill"] >= 1
-                assert guard["bulkheads"]["compute"]["completed"] >= 1
                 assert guard["sandbox"]["spawned"] is False
 
         asyncio.run(main())

@@ -213,16 +213,15 @@ class TestMetricsV1:
                     "leaders", "coalesced", "failures",
                 }
                 assert set(payload["extra"]["guard"]) == {
-                    "enabled", "breakers", "shedder", "bulkheads",
-                    "sandbox",
+                    "enabled", "breakers", "shedder", "sandbox",
                 }
                 assert payload["extra"]["guard"]["enabled"] is True
                 assert (
                     payload["extra"]["guard"]["shedder"]["enabled"]
                     is False
                 )
-                assert set(payload["extra"]["guard"]["bulkheads"]) == {
-                    "compute", "cheap",
+                assert set(payload["extra"]["guard"]["sandbox"]) == {
+                    "spawned", "spawns", "jobs",
                 }
 
         asyncio.run(main())

@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from tests.serve.helpers import (
     WORKLOAD,
     characterize_payload,
@@ -364,6 +366,52 @@ class TestAdmissionControl:
                 # the refusal was load shedding, not a crash
                 status, _, _ = await get_path(server, "/healthz")
                 assert status == 200
+
+        asyncio.run(main())
+
+
+    @pytest.mark.parametrize(
+        ("max_inflight", "queue_limit", "n"),
+        [(1, 1, 5), (2, 3, 9), (1, 2, 6)],
+    )
+    def test_burst_admits_exactly_inflight_plus_queue(
+        self, max_inflight, queue_limit, n
+    ) -> None:
+        """n distinct queries in one event-loop iteration: exactly
+        ``max_inflight + queue_limit`` leaders are admitted."""
+
+        async def main() -> None:
+            async with running_server(
+                max_inflight=max_inflight,
+                queue_limit=queue_limit,
+                faults=SLOW_EVERY_CELL,
+            ) as server:
+                bodies = [
+                    json.dumps(characterize_payload(
+                        formats=["coo"], partitions=[8],
+                        workload={**WORKLOAD, "seed": seed},
+                    )).encode()
+                    for seed in range(n)
+                ]
+                answers = await asyncio.gather(*(
+                    server._handle_query("characterize", body)
+                    for body in bodies
+                ))
+                statuses = [status for status, _, _ in answers]
+                admitted = max_inflight + queue_limit
+                assert statuses.count(200) == admitted
+                assert statuses.count(429) == n - admitted
+                counters = server.metrics.snapshot()["counters"]
+                assert counters["serve.decision.refuse.queue-full"] == (
+                    n - admitted
+                )
+                for status, body, _ in answers:
+                    if status == 429:
+                        message = json.loads(body)["error"]["message"]
+                        assert (
+                            f"{max_inflight} computations running, "
+                            f"{queue_limit} queued" in message
+                        )
 
         asyncio.run(main())
 
