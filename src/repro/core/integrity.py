@@ -277,16 +277,16 @@ def classify_damaged_frame(damaged: bytes, truth: SparseMatrix) -> str:
 def _classify(damaged: bytes, truth: SparseMatrix) -> str:
     try:
         try:
-            encoded, _ = unframe(damaged, mode="strict", verify_crc=False)
+            encoded = unframe(damaged, verify_crc=False)
         except CopernicusError:
             return "structural"
         crc_hit = False
         try:
-            unframe(damaged, mode="strict", verify_crc=True)
+            unframe(damaged, verify_crc=True)
         except CopernicusError:
             crc_hit = True
         try:
-            decoded, _ = safe_decode(encoded, mode="strict")
+            decoded = safe_decode(encoded)
         except CopernicusError:
             return "crc" if crc_hit else "structural"
         if crc_hit:

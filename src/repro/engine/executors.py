@@ -119,11 +119,10 @@ def _corrupt_workload(
     *encoded* representation: the matrix is encoded in the cell's own
     format, one plane is damaged (seeded by the cell coordinates, so
     every retry and every worker sees identical damage), and the
-    result is decoded back under the spec's decode mode.  Strict
-    decoding raises :class:`~repro.errors.FormatIntegrityError` for
-    detected damage — surfacing as an ordinary cell failure — while
-    repair / lenient modes let a best-effort matrix continue into the
-    characterization.
+    result is decoded back strictly.  Detected damage raises
+    :class:`~repro.errors.FormatIntegrityError`, surfacing as an
+    ordinary cell failure; damage the checks cannot see decodes to a
+    matrix that continues into the characterization.
     """
     fmt = get_format(cell.format_name)
     encoded = fmt.encode(workload.matrix)
@@ -133,7 +132,7 @@ def _corrupt_workload(
     damaged = corruptor.corrupt_encoding(
         encoded, corruption, key=cell.coords
     )
-    matrix, _report = safe_decode(damaged, mode=corruption.decode_mode)
+    matrix = safe_decode(damaged)
     return Workload(
         name=workload.name,
         group=workload.group,

@@ -29,8 +29,8 @@ same cells on every run, any worker count, and every retry attempt:
 ``corrupt``
     Damage the cell's encoded matrix stream with a seeded
     :class:`~repro.formats.corrupt.CorruptionSpec` and decode it back
-    under ``mode`` (a :data:`~repro.formats.integrity.DECODE_MODES`
-    policy).
+    strictly: detected damage fails the cell with
+    :class:`~repro.errors.FormatIntegrityError`.
 
 Cell clauses are *attempt-gated*: ``times=N`` trips only on the first
 N dispatch attempts of the cell's chunk (``times=none`` = always).
@@ -61,7 +61,7 @@ the two forms of ``crash`` cannot be confused.  Examples::
     raise@rand-0.01:csr:16              # one exact cell
     crash@*:coo:*#times=none            # every coo cell, every attempt
     delay@every:5#delay=0.25            # every 5th grid cell sleeps
-    corrupt@*:csr:*#ckind=bitflip#ber=0.001#mode=strict
+    corrupt@*:csr:*#ckind=bitflip#ber=0.001
     torn-write@checkpoint#frac=0.4#after=3
     disk-full@shards#after=5,crash@merge    # clauses compose
 
@@ -109,7 +109,7 @@ _GRAMMAR: dict[str, dict[str, tuple[str, ...]]] = {
     "raise": {_CELL: ("times",)},
     "crash": {_CELL: ("times",), "merge": _HOOKED, "worker": _HOOKED},
     "delay": {_CELL: ("delay", "times")},
-    "corrupt": {_CELL: ("ckind", "plane", "ber", "mode", "times")},
+    "corrupt": {_CELL: ("ckind", "plane", "ber", "times")},
     "torn-write": dict.fromkeys(
         ("checkpoint", "shards"), ("frac",) + _HOOKED
     ),
@@ -161,7 +161,6 @@ class FaultSpec:
     ckind: str = "bitflip"
     plane: str = "*"
     ber: float = 1e-3
-    mode: str = "strict"
     times: int | None = 1
     midflight: bool = False
     #: (workload, format, p, every_nth) for a cell target, else None
@@ -205,7 +204,7 @@ class FaultSpec:
                     f"{name} must be a finite number >= 0, got {value}"
                 )
         if self.kind == "corrupt":
-            # constructing the spec validates ckind / plane / ber / mode
+            # constructing the spec validates ckind / plane / ber
             self.corruption_spec()
 
     # ------------------------------------------------------------------
@@ -260,12 +259,7 @@ class FaultSpec:
 
     def corruption_spec(self) -> CorruptionSpec:
         """The stream-corruption rule a ``corrupt`` clause applies."""
-        return CorruptionSpec(
-            kind=self.ckind,
-            plane=self.plane,
-            ber=self.ber,
-            decode_mode=self.mode,
-        )
+        return CorruptionSpec(kind=self.ckind, plane=self.plane, ber=self.ber)
 
     def describe(self) -> str:
         """Round-trippable compact form: non-default options, fixed order."""
@@ -359,7 +353,6 @@ _CONVERT = {
     "ckind": str,
     "plane": str,
     "ber": float,
-    "mode": str,
     "times": lambda value: None if value.lower() == "none" else int(value),
 }
 

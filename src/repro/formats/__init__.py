@@ -41,18 +41,14 @@ from .corrupt import (
     parse_corruption,
 )
 from .integrity import (
-    DECODE_MODES,
     FRAME_MAGIC,
     FrameLayout,
     PlaneSpan,
-    RepairAction,
-    RepairReport,
     decode_framed,
     format_for,
     frame,
     frame_layout,
     frame_overhead_bytes,
-    repair_encoding,
     safe_decode,
     unframe,
 )
@@ -97,11 +93,8 @@ __all__ = [
     "validate_encoding",
     "VALIDATED_FORMATS",
     "FRAME_MAGIC",
-    "DECODE_MODES",
     "FrameLayout",
     "PlaneSpan",
-    "RepairAction",
-    "RepairReport",
     "frame",
     "unframe",
     "frame_layout",
@@ -109,7 +102,6 @@ __all__ = [
     "format_for",
     "safe_decode",
     "decode_framed",
-    "repair_encoding",
     "CORRUPTION_KINDS",
     "CorruptionSpec",
     "StreamCorruptor",

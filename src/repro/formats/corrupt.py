@@ -11,7 +11,7 @@ reuse the compact selector grammar of :mod:`repro.engine.faults`
     truncate@*#fraction=0.25      # drop a tail chunk of the frame
     truncate@indices              # splice bytes out of one plane
     tamper@header                 # overwrite a header word
-    tamper@offsets#mode=repair    # plane tamper, decoded in repair mode
+    tamper@offsets                # overwrite one word of a plane
 
 Two injection surfaces are supported: :meth:`StreamCorruptor.
 corrupt_frame` mutates the *serialized* container (what DDR bit flips
@@ -25,13 +25,13 @@ alone — same seed, same damage, every run.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FormatError, SweepConfigError
 from .base import EncodedMatrix
-from .integrity import DECODE_MODES, FrameLayout, frame_layout
+from .integrity import FrameLayout, frame_layout
 
 __all__ = [
     "CORRUPTION_KINDS",
@@ -65,17 +65,12 @@ class CorruptionSpec:
     fraction:
         Tail fraction removed by ``truncate`` (upper bound; the exact
         cut length is drawn per injection).
-    decode_mode:
-        The :data:`~repro.formats.integrity.DECODE_MODES` policy a
-        downstream consumer should decode the damaged stream under —
-        carried here so sweep fault specs stay self-contained.
     """
 
     kind: str
     plane: str = ANY_PLANE
     ber: float = 1e-3
     fraction: float = 0.25
-    decode_mode: str = "strict"
 
     def __post_init__(self) -> None:
         if self.kind not in CORRUPTION_KINDS:
@@ -96,11 +91,6 @@ class CorruptionSpec:
             raise SweepConfigError(
                 f"fraction must be in (0, 1], got {self.fraction}"
             )
-        if self.decode_mode not in DECODE_MODES:
-            raise SweepConfigError(
-                f"unknown decode mode {self.decode_mode!r}; "
-                f"known: {', '.join(DECODE_MODES)}"
-            )
 
     def describe(self) -> str:
         options = []
@@ -108,8 +98,6 @@ class CorruptionSpec:
             options.append(f"ber={self.ber:g}")
         if self.kind == "truncate" and self.fraction != 0.25:
             options.append(f"fraction={self.fraction:g}")
-        if self.decode_mode != "strict":
-            options.append(f"mode={self.decode_mode}")
         tail = "#" + "#".join(options) if options else ""
         return f"{self.kind}@{self.plane}{tail}"
 
@@ -138,12 +126,10 @@ class CorruptionSpec:
                         f"corruption option {key}={value!r} is not "
                         f"a number"
                     ) from None
-            elif key == "mode":
-                options["decode_mode"] = value
             else:
                 raise SweepConfigError(
                     f"unknown corruption option {key!r}; "
-                    f"known: ber, fraction, mode"
+                    f"known: ber, fraction"
                 )
         return cls(kind=kind, plane=plane, **options)
 
@@ -339,15 +325,6 @@ class StreamCorruptor:
             meta=dict(encoded.meta),
         )
 
-    def with_seed(self, seed: int) -> "StreamCorruptor":
-        return StreamCorruptor(seed)
-
     def __repr__(self) -> str:
         return f"StreamCorruptor(seed={self.seed})"
 
-
-def spec_with_mode(
-    spec: CorruptionSpec, decode_mode: str
-) -> CorruptionSpec:
-    """Copy of ``spec`` under a different downstream decode policy."""
-    return replace(spec, decode_mode=decode_mode)

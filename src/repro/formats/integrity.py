@@ -1,9 +1,9 @@
-"""Checksummed container framing and hardened decoding.
+"""Checksummed container framing and strict decoding.
 
 An :class:`~repro.formats.base.EncodedMatrix` is a set of in-memory
 numpy planes; on a real accelerator those planes travel over DDR/AXI as
 one byte stream per tile.  This module supplies the missing container
-layer and the defensive decode paths that make corrupted streams a
+layer and the one decode path that makes a corrupted stream a
 first-class, *measurable* event instead of an interpreter crash:
 
 ``frame()`` / ``unframe()``
@@ -14,15 +14,13 @@ first-class, *measurable* event instead of an interpreter crash:
     :func:`frame_overhead_bytes` is a per-format constant, so framing
     cost composes with the existing :class:`SizeBreakdown` model.
 
-``safe_decode()`` with ``DecodeMode = strict | repair | lenient``
-    *strict* promotes :func:`~repro.formats.validate.validate_encoding`
-    plus decode-time failures into the structured
-    :class:`~repro.errors.FormatIntegrityError` taxonomy and never
-    leaks a bare numpy exception.  *repair* applies best-effort,
-    per-format fixes (clip out-of-bounds indices, re-monotonize
-    offsets, drop trailing garbage, re-bijectivize permutations) and
-    returns a machine-readable :class:`RepairReport`.  *lenient*
-    accepts anything that decodes, falling back to repair.
+``safe_decode()`` / ``decode_framed()``
+    Like a hardware decompressor, decoding takes a well-formed stream
+    or flags it; it never rewrites one.
+    :func:`~repro.formats.validate.validate_encoding` and decode-time
+    failures surface as the structured
+    :class:`~repro.errors.FormatIntegrityError` taxonomy, never as a
+    bare numpy exception.
 
 Wire layout (all integers little-endian)::
 
@@ -46,13 +44,12 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
-from ..errors import CopernicusError, FormatError, FormatIntegrityError
+from ..errors import FormatIntegrityError
 from ..matrix import SparseMatrix
 from .base import EncodedMatrix, SparseFormat
 from .registry import get_format
@@ -60,11 +57,8 @@ from .validate import validate_encoding
 
 __all__ = [
     "FRAME_MAGIC",
-    "DECODE_MODES",
     "FrameLayout",
     "PlaneSpan",
-    "RepairAction",
-    "RepairReport",
     "frame",
     "unframe",
     "frame_layout",
@@ -72,14 +66,10 @@ __all__ = [
     "format_for",
     "safe_decode",
     "decode_framed",
-    "repair_encoding",
 ]
 
 #: Container magic: "Copernicus Tile Frame", layout version 1.
 FRAME_MAGIC = b"CTF1"
-
-#: Hardened decode modes, in decreasing order of paranoia.
-DECODE_MODES: tuple[str, ...] = ("strict", "repair", "lenient")
 
 # Header sanity bounds — a parsed count beyond these is corruption, not
 # a large matrix (no built-in format exceeds 5 planes or 2 meta keys).
@@ -87,122 +77,6 @@ _MAX_PLANES = 64
 _MAX_META = 32
 _MAX_NAME = 256
 _MAX_NDIM = 4
-
-# Allocation guard: never materialize more than this many bytes beyond
-# what the untrusted input itself supplies as evidence.
-_ALLOC_SLACK_FACTOR = 16
-_ALLOC_SLACK_BYTES = 4096
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in DECODE_MODES:
-        raise FormatError(
-            f"unknown decode mode {mode!r}; expected one of "
-            f"{', '.join(DECODE_MODES)}"
-        )
-
-
-def _guard_alloc(
-    requested_bytes: int,
-    evidence_bytes: int,
-    *,
-    format_name: str,
-    plane: str,
-) -> None:
-    """Refuse allocations a corrupted header asks for but cannot back.
-
-    A tampered dimension or byte count must not drive a multi-gigabyte
-    ``np.zeros``: anything more than a small multiple of the bytes the
-    input actually contains is implausible and raised as corruption.
-    """
-    limit = evidence_bytes * _ALLOC_SLACK_FACTOR + _ALLOC_SLACK_BYTES
-    if requested_bytes > limit:
-        raise FormatIntegrityError(
-            f"declared size {requested_bytes} bytes exceeds the "
-            f"plausible bound {limit} for {evidence_bytes} input bytes",
-            format_name=format_name,
-            plane=plane,
-            check="alloc-guard",
-            kind="implausible",
-        )
-
-
-# ----------------------------------------------------------------------
-# Repair reporting
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RepairAction:
-    """One best-effort fix applied while repairing a stream."""
-
-    plane: str
-    action: str
-    detail: str = ""
-
-    def describe(self) -> str:
-        where = self.plane or "frame"
-        tail = f": {self.detail}" if self.detail else ""
-        return f"{where}: {self.action}{tail}"
-
-
-@dataclass(frozen=True)
-class RepairReport:
-    """Machine-readable record of everything a repair pass changed.
-
-    Falsy when the stream needed no fixes, so
-    ``matrix, report = safe_decode(encoded, "repair")`` callers can
-    test ``if report:`` to learn whether the data was pristine.
-    """
-
-    format_name: str
-    mode: str
-    actions: tuple[RepairAction, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.actions)
-
-    def __add__(self, other: "RepairReport") -> "RepairReport":
-        return RepairReport(
-            format_name=self.format_name or other.format_name,
-            mode=self.mode,
-            actions=self.actions + other.actions,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "format": self.format_name,
-            "mode": self.mode,
-            "actions": [
-                {
-                    "plane": a.plane,
-                    "action": a.action,
-                    "detail": a.detail,
-                }
-                for a in self.actions
-            ],
-        }
-
-    def describe(self) -> str:
-        if not self.actions:
-            return f"{self.format_name or 'stream'}: clean"
-        body = "; ".join(a.describe() for a in self.actions)
-        return f"{self.format_name or 'stream'}: {body}"
-
-
-class _RepairLog:
-    """Mutable accumulator behind the frozen :class:`RepairReport`."""
-
-    def __init__(self, format_name: str, mode: str) -> None:
-        self.format_name = format_name
-        self.mode = mode
-        self.actions: list[RepairAction] = []
-
-    def fixed(self, plane: str, action: str, detail: str = "") -> None:
-        self.actions.append(RepairAction(plane, action, detail))
-
-    def report(self) -> RepairReport:
-        return RepairReport(
-            self.format_name, self.mode, tuple(self.actions)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -226,15 +100,20 @@ class PlaneSpan:
 
 @dataclass(frozen=True)
 class FrameLayout:
-    """Parsed frame header: where every byte of the stream lives."""
+    """Parsed frame header: where every byte of the stream lives.
+
+    ``header_crc_ok`` records whether the stored header CRC matches the
+    header bytes; :func:`unframe` decides what a mismatch means.
+    """
 
     format_name: str
     shape: tuple[int, int]
     nnz: int
-    meta: dict = field(default_factory=dict)
-    header_bytes: int = 0
-    header_crc: int = 0
-    planes: tuple[PlaneSpan, ...] = ()
+    meta: dict
+    header_bytes: int
+    header_crc: int
+    header_crc_ok: bool
+    planes: tuple[PlaneSpan, ...]
 
     @property
     def declared_bytes(self) -> int:
@@ -383,10 +262,9 @@ def _parse_dtype(tag: str, format_name: str, plane: str) -> np.dtype:
 def frame_layout(data: bytes) -> FrameLayout:
     """Parse a frame header into spans, without touching payloads.
 
-    Header parsing is always strict — a frame whose *structure* cannot
-    be established has nothing to repair against.  CRC values are
-    reported, not verified; :func:`unframe` decides what to do with
-    them.
+    A header whose structure cannot be established raises
+    :class:`FormatIntegrityError`.  CRC values are reported, not
+    enforced; :func:`unframe` decides what to do with them.
     """
     reader = _Reader(data)
     magic = reader.take(4, "magic")
@@ -493,121 +371,76 @@ def frame_layout(data: bytes) -> FrameLayout:
             )
         )
         cursor += nbytes
-    layout = FrameLayout(
+    return FrameLayout(
         format_name=format_name,
         shape=(int(rows), int(cols)),
         nnz=int(nnz),
         meta=meta,
         header_bytes=reader.cursor,
         header_crc=int(header_crc),
+        header_crc_ok=zlib.crc32(data[:header_stop]) == header_crc,
         planes=tuple(planes),
     )
-    expected = zlib.crc32(data[:header_stop])
-    # stash the verification result for unframe without re-hashing
-    object.__setattr__(layout, "_header_crc_ok", expected == header_crc)
-    return layout
 
 
-def unframe(
-    data: bytes,
-    *,
-    mode: str = "strict",
-    verify_crc: bool = True,
-) -> tuple[EncodedMatrix, RepairReport]:
+def unframe(data: bytes, *, verify_crc: bool = True) -> EncodedMatrix:
     """Parse a frame back into an :class:`EncodedMatrix`.
 
-    ``strict`` raises :class:`FormatIntegrityError` on any deviation:
-    CRC mismatch (header or plane, unless ``verify_crc=False``),
-    truncated payloads, trailing garbage.  ``repair`` keeps going —
-    zero-padding truncated payloads, dropping trailing bytes and
-    accepting CRC mismatches — and records every concession in the
-    returned :class:`RepairReport`.  ``lenient`` is ``strict`` with a
-    ``repair`` fallback.  An unparseable *header* always raises.
+    Raises :class:`FormatIntegrityError` on any deviation: CRC mismatch
+    (header or plane, unless ``verify_crc=False``), truncated payloads,
+    trailing garbage.  A short payload is refused before any array is
+    built, so no allocation exceeds ``len(data)``.
     """
-    _check_mode(mode)
-    if mode == "lenient":
-        try:
-            return unframe(data, mode="strict", verify_crc=verify_crc)
-        except FormatIntegrityError:
-            encoded, report = unframe(
-                data, mode="repair", verify_crc=verify_crc
-            )
-            return encoded, RepairReport(
-                report.format_name, "lenient", report.actions
-            )
     layout = frame_layout(data)
-    log = _RepairLog(layout.format_name, mode)
-    strict = mode == "strict"
-    if verify_crc and not getattr(layout, "_header_crc_ok"):
-        if strict:
-            raise FormatIntegrityError(
-                "header CRC mismatch",
-                format_name=layout.format_name,
-                check="header-crc",
-                kind="crc",
-            )
-        log.fixed("", "accepted-header-crc-mismatch")
+    if verify_crc and not layout.header_crc_ok:
+        raise FormatIntegrityError(
+            "header CRC mismatch",
+            format_name=layout.format_name,
+            check="header-crc",
+            kind="crc",
+        )
     arrays: dict[str, np.ndarray] = {}
     for span in layout.planes:
         payload = data[span.start : span.stop]
         if len(payload) < span.nbytes:
-            if strict:
-                raise FormatIntegrityError(
-                    f"payload truncated to {len(payload)} of "
-                    f"{span.nbytes} bytes",
-                    format_name=layout.format_name,
-                    plane=span.name,
-                    check="payload-truncated",
-                    offset=len(payload),
-                    kind="truncation",
-                )
-            _guard_alloc(
-                span.nbytes,
-                len(data),
+            raise FormatIntegrityError(
+                f"payload truncated to {len(payload)} of "
+                f"{span.nbytes} bytes",
                 format_name=layout.format_name,
                 plane=span.name,
+                check="payload-truncated",
+                offset=len(payload),
+                kind="truncation",
             )
-            log.fixed(
-                span.name,
-                "zero-padded-truncated-payload",
-                f"{len(payload)} of {span.nbytes} bytes present",
-            )
-            payload = payload + b"\x00" * (span.nbytes - len(payload))
         if verify_crc and zlib.crc32(payload) != span.crc:
-            if strict:
-                raise FormatIntegrityError(
-                    "payload CRC mismatch",
-                    format_name=layout.format_name,
-                    plane=span.name,
-                    check="plane-crc",
-                    kind="crc",
-                )
-            log.fixed(span.name, "accepted-payload-crc-mismatch")
-        dtype = np.dtype(span.dtype)
+            raise FormatIntegrityError(
+                "payload CRC mismatch",
+                format_name=layout.format_name,
+                plane=span.name,
+                check="plane-crc",
+                kind="crc",
+            )
         arrays[span.name] = (
-            np.frombuffer(payload, dtype=dtype)
+            np.frombuffer(payload, dtype=np.dtype(span.dtype))
             .reshape(span.shape)
             .copy()
         )
     if len(data) > layout.declared_bytes:
-        extra = len(data) - layout.declared_bytes
-        if strict:
-            raise FormatIntegrityError(
-                f"{extra} trailing bytes after the last payload",
-                format_name=layout.format_name,
-                check="trailing-bytes",
-                offset=layout.declared_bytes,
-                kind="truncation",
-            )
-        log.fixed("", "dropped-trailing-bytes", f"{extra} bytes")
-    encoded = EncodedMatrix(
+        raise FormatIntegrityError(
+            f"{len(data) - layout.declared_bytes} trailing bytes after "
+            f"the last payload",
+            format_name=layout.format_name,
+            check="trailing-bytes",
+            offset=layout.declared_bytes,
+            kind="truncation",
+        )
+    return EncodedMatrix(
         format_name=layout.format_name,
         shape=layout.shape,
         arrays=arrays,
         nnz=layout.nnz,
         meta=layout.meta,
     )
-    return encoded, log.report()
 
 
 @lru_cache(maxsize=None)
@@ -658,652 +491,27 @@ def format_for(encoded: EncodedMatrix) -> SparseFormat:
     return get_format(name)
 
 
-def _wrap_decode_failure(
-    exc: Exception, format_name: str, kind: str
-) -> FormatIntegrityError:
-    reason = str(exc) or type(exc).__name__
-    return FormatIntegrityError(
-        f"decode failed ({type(exc).__name__}): {reason}",
-        format_name=format_name,
-        check="decode-failure",
-        kind=kind,
-    )
+def safe_decode(encoded: EncodedMatrix) -> SparseMatrix:
+    """Validate and decode, or raise :class:`FormatIntegrityError`.
 
-
-def safe_decode(
-    encoded: EncodedMatrix, mode: str = "strict"
-) -> tuple[SparseMatrix, RepairReport]:
-    """Decode under a :data:`DECODE_MODES` policy.
-
-    Never lets a bare numpy/``IndexError`` escape: whatever goes wrong
-    surfaces as :class:`FormatIntegrityError` (strict/repair) or is
-    absorbed by the repair fallback (lenient).
+    Never lets a bare numpy/``IndexError`` escape: a failure outside
+    the taxonomy is wrapped as an ``undecodable`` verdict.
     """
-    _check_mode(mode)
-    name = encoded.format_name
-    if mode == "strict":
-        try:
-            validate_encoding(encoded)
-            matrix = format_for(encoded).decode(encoded)
-        except FormatIntegrityError:
-            raise
-        except Exception as exc:
-            raise _wrap_decode_failure(
-                exc, name, "undecodable"
-            ) from exc
-        return matrix, RepairReport(name, mode)
-    if mode == "repair":
-        repaired, report = repair_encoding(encoded)
-        try:
-            validate_encoding(repaired)
-            matrix = format_for(repaired).decode(repaired)
-        except Exception as exc:
-            raise _wrap_decode_failure(
-                exc, name, "unrepairable"
-            ) from exc
-        return matrix, report
-    # lenient: accept anything that decodes, else best-effort repair.
     try:
-        matrix = format_for(encoded).decode(encoded)
-        return matrix, RepairReport(name, mode)
-    except Exception:
-        matrix, report = safe_decode(encoded, "repair")
-        return matrix, RepairReport(name, mode, report.actions)
-
-
-def decode_framed(
-    data: bytes,
-    mode: str = "strict",
-    *,
-    verify_crc: bool = True,
-) -> tuple[SparseMatrix, RepairReport]:
-    """Unframe then decode under one policy, merging the reports."""
-    encoded, frame_report = unframe(data, mode=mode, verify_crc=verify_crc)
-    matrix, decode_report = safe_decode(encoded, mode)
-    return matrix, frame_report + decode_report
-
-
-# ----------------------------------------------------------------------
-# Best-effort repair
-# ----------------------------------------------------------------------
-def _resize1d(
-    array: np.ndarray,
-    size: int,
-    log: _RepairLog,
-    plane: str,
-    fill=0,
-) -> np.ndarray:
-    array = np.asarray(array).ravel()
-    if array.size == size:
-        return array
-    log.fixed(
-        plane,
-        "resized" if array.size < size else "truncated",
-        f"{array.size} -> {size} elements",
-    )
-    if array.size > size:
-        return array[:size].copy()
-    out = np.full(size, fill, dtype=array.dtype)
-    out[: array.size] = array
-    return out
-
-
-def _resize2d(
-    array: np.ndarray,
-    shape: tuple[int, int],
-    log: _RepairLog,
-    plane: str,
-    evidence_bytes: int,
-) -> np.ndarray:
-    array = np.asarray(array)
-    if array.ndim == 2 and array.shape == shape:
-        return array
-    _guard_alloc(
-        shape[0] * shape[1] * array.dtype.itemsize,
-        evidence_bytes,
-        format_name=log.format_name,
-        plane=plane,
-    )
-    log.fixed(plane, "reshaped", f"{array.shape} -> {shape}")
-    out = np.zeros(shape, dtype=array.dtype)
-    flat = array.ravel()
-    take = min(flat.size, out.size)
-    out.ravel()[:take] = flat[:take]
-    return out
-
-
-def _clip_indices(
-    array: np.ndarray,
-    low: int,
-    high: int,
-    log: _RepairLog,
-    plane: str,
-) -> np.ndarray:
-    """Clip to ``[low, high]`` inclusive, logging if anything moved."""
-    high = max(high, low)
-    clipped = np.clip(array, low, high)
-    moved = int((clipped != array).sum())
-    if moved:
-        log.fixed(
-            plane,
-            "clipped-out-of-bounds",
-            f"{moved} entries into [{low}, {high}]",
-        )
-    return clipped
-
-
-def _evidence(encoded: EncodedMatrix) -> int:
-    """Bytes of real data backing an encoding (the allocation budget)."""
-    return sum(
-        np.asarray(a).nbytes for a in encoded.arrays.values()
-    )
-
-
-def _fix_permutation(
-    perm: np.ndarray, n: int, log: _RepairLog, plane: str = "perm"
-) -> np.ndarray:
-    perm = _resize1d(perm, n, log, plane, fill=np.iinfo(np.int64).max)
-    order = np.argsort(perm, kind="stable")
-    fixed = np.empty(n, dtype=np.int64)
-    fixed[order] = np.arange(n)
-    # ranks of a valid permutation reproduce it exactly
-    if n and not np.array_equal(fixed, perm):
-        log.fixed(plane, "re-bijectivized", "replaced by rank order")
-    return fixed
-
-
-def _repair_compressed_axis(
-    encoded: EncodedMatrix,
-    n_major: int,
-    n_minor: int,
-    log: _RepairLog,
-) -> dict:
-    offsets = np.asarray(encoded.array("offsets")).ravel()
-    indices = np.asarray(encoded.array("indices")).ravel()
-    values = np.asarray(encoded.array("values")).ravel()
-    n_entries = min(indices.size, values.size)
-    indices = _resize1d(indices, n_entries, log, "indices")
-    values = _resize1d(values, n_entries, log, "values")
-    offsets = _resize1d(offsets, n_major + 1, log, "offsets")
-    fixed = np.clip(offsets, 0, n_entries)
-    np.maximum.accumulate(fixed, out=fixed)
-    fixed[0] = 0
-    fixed[-1] = n_entries
-    np.maximum.accumulate(fixed, out=fixed)
-    if not np.array_equal(fixed, offsets):
-        log.fixed("offsets", "re-monotonized")
-    indices = _clip_indices(indices, 0, n_minor - 1, log, "indices")
-    return {
-        "arrays": {
-            "offsets": fixed.astype(np.int64),
-            "indices": indices.astype(np.int64),
-            "values": values.astype(np.float64),
-        },
-        "nnz": int(np.count_nonzero(values)),
-    }
-
-
-def _repair_coordinates(
-    encoded: EncodedMatrix, log: _RepairLog, *, dedup: bool
-) -> dict:
-    rows = np.asarray(encoded.array("rows")).ravel()
-    cols = np.asarray(encoded.array("cols")).ravel()
-    values = np.asarray(encoded.array("values")).ravel()
-    n = min(rows.size, cols.size, values.size)
-    rows = _resize1d(rows, n, log, "rows")
-    cols = _resize1d(cols, n, log, "cols")
-    values = _resize1d(values, n, log, "values")
-    rows = _clip_indices(rows, 0, encoded.n_rows - 1, log, "rows")
-    cols = _clip_indices(cols, 0, encoded.n_cols - 1, log, "cols")
-    if dedup and n:
-        keys = rows.astype(np.int64) * encoded.n_cols + cols
-        # first occurrences, in row-major key order
-        _, order = np.unique(keys, return_index=True)
-        if order.size != n:
-            log.fixed(
-                "rows",
-                "deduplicated",
-                f"dropped {n - order.size} duplicates",
-            )
-        elif not np.array_equal(order, np.arange(n)):
-            log.fixed("rows", "re-sorted-row-major")
-        rows, cols, values = rows[order], cols[order], values[order]
-    return {
-        "arrays": {
-            "rows": rows.astype(np.int64),
-            "cols": cols.astype(np.int64),
-            "values": values.astype(np.float64),
-        },
-        "nnz": int(np.count_nonzero(values)),
-    }
-
-
-def _repair_padded_planes(
-    encoded: EncodedMatrix, log: _RepairLog
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Shared ELL-style fix: consistent planes, bounds, sentinels."""
-    values = np.asarray(encoded.array("values"))
-    indices = np.asarray(encoded.array("indices"))
-    if values.ndim == 2 and values.shape[1] >= 1:
-        width = int(values.shape[1])
-    else:
-        width = max(1, int(encoded.meta.get("width", 1)))
-    shape = (encoded.n_rows, width)
-    evidence = _evidence(encoded)
-    values = _resize2d(values, shape, log, "values", evidence)
-    indices = _resize2d(indices, shape, log, "indices", evidence)
-    indices = _clip_indices(
-        indices, 0, encoded.n_cols - 1, log, "indices"
-    )
-    padding = values == 0.0
-    broken = padding & (indices != 0)
-    if broken.any():
-        indices = indices.copy()
-        indices[broken] = 0
-        log.fixed(
-            "indices",
-            "reset-padding-sentinels",
-            f"{int(broken.sum())} slots",
-        )
-    return values.astype(np.float64), indices.astype(np.int64), width
-
-
-def _repair_ell(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    values, indices, width = _repair_padded_planes(encoded, log)
-    return {
-        "arrays": {"values": values, "indices": indices},
-        "nnz": int(np.count_nonzero(values)),
-        "meta": {"width": width},
-    }
-
-
-def _repair_ell_coo(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    values, indices, width = _repair_padded_planes(encoded, log)
-    rows = np.asarray(encoded.array("coo_rows")).ravel()
-    cols = np.asarray(encoded.array("coo_cols")).ravel()
-    overflow = np.asarray(encoded.array("coo_values")).ravel()
-    n = min(rows.size, cols.size, overflow.size)
-    rows = _resize1d(rows, n, log, "coo_rows")
-    cols = _resize1d(cols, n, log, "coo_cols")
-    overflow = _resize1d(overflow, n, log, "coo_values")
-    rows = _clip_indices(rows, 0, encoded.n_rows - 1, log, "coo_rows")
-    cols = _clip_indices(cols, 0, encoded.n_cols - 1, log, "coo_cols")
-    return {
-        "arrays": {
-            "values": values,
-            "indices": indices,
-            "coo_rows": rows.astype(np.int64),
-            "coo_cols": cols.astype(np.int64),
-            "coo_values": overflow.astype(np.float64),
-        },
-        "nnz": int(np.count_nonzero(values))
-        + int(np.count_nonzero(overflow)),
-        "meta": {"width": width},
-    }
-
-
-def _repair_lil(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    values = np.asarray(encoded.array("values"))
-    indices = np.asarray(encoded.array("indices"))
-    height = max(
-        1,
-        values.shape[0]
-        if values.ndim == 2
-        else int(encoded.meta.get("height", 1)),
-    )
-    shape = (height, encoded.n_cols)
-    evidence = _evidence(encoded)
-    values = _resize2d(values, shape, log, "values", evidence)
-    indices = _resize2d(indices, shape, log, "indices", evidence)
-    sentinel = encoded.n_rows
-    indices = _clip_indices(indices, 0, sentinel, log, "indices")
-    # re-top-push each column: live entries first, sentinels below.
-    pushed_values = np.zeros_like(values)
-    pushed_indices = np.full_like(indices, sentinel)
-    repacked = 0
-    for col in range(shape[1]):
-        live = np.nonzero(indices[:, col] < sentinel)[0]
-        if live.size and int(live.max()) != live.size - 1:
-            repacked += 1
-        pushed_values[: live.size, col] = values[live, col]
-        pushed_indices[: live.size, col] = indices[live, col]
-    if repacked:
-        log.fixed(
-            "indices", "re-top-pushed", f"{repacked} columns repacked"
-        )
-    live_mask = pushed_indices < sentinel
-    return {
-        "arrays": {
-            "values": pushed_values.astype(np.float64),
-            "indices": pushed_indices.astype(np.int64),
-        },
-        "nnz": int(np.count_nonzero(pushed_values[live_mask])),
-        "meta": {"height": height, "width": encoded.n_cols},
-    }
-
-
-def _repair_dia(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    offsets = np.asarray(encoded.array("offsets")).ravel()
-    lengths = np.asarray(encoded.array("lengths")).ravel()
-    diags = np.asarray(encoded.array("diagonals"))
-    if diags.ndim != 2:
-        diags = diags.reshape(diags.size, 1) if diags.size else (
-            np.zeros((0, 1))
-        )
-        log.fixed("diagonals", "reshaped", "flattened input re-ranked")
-    n = min(offsets.size, lengths.size, diags.shape[0])
-    offsets = _resize1d(offsets, n, log, "offsets")
-    lengths = _resize1d(lengths, n, log, "lengths")
-    if diags.shape[0] != n:
-        log.fixed(
-            "diagonals", "truncated", f"{diags.shape[0]} -> {n} rows"
-        )
-        diags = diags[:n]
-    offsets = _clip_indices(
-        offsets, 1 - encoded.n_rows, encoded.n_cols - 1, log, "offsets"
-    )
-    unique, first = np.unique(offsets, return_index=True)
-    if unique.size != offsets.size or not np.array_equal(
-        unique, offsets
-    ):
-        log.fixed(
-            "offsets",
-            "re-monotonized",
-            f"kept {unique.size} of {offsets.size} diagonals",
-        )
-    offsets, lengths, diags = unique, lengths[first], diags[first]
-    lengths = _clip_indices(
-        lengths, 0, diags.shape[1] if diags.size else 0, log, "lengths"
-    )
-    return {
-        "arrays": {
-            "offsets": offsets.astype(np.int64),
-            "lengths": lengths.astype(np.int64),
-            "diagonals": diags.astype(np.float64),
-        },
-        "nnz": int(np.count_nonzero(diags)),
-    }
-
-
-def _repair_bcsr(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    values = np.asarray(encoded.array("values"))
-    b = int(encoded.meta.get("block_size", 0))
-    if b < 1 or b * b != (values.shape[1] if values.ndim == 2 else -1):
-        inferred = (
-            isqrt(values.shape[1]) if values.ndim == 2 else 0
-        )
-        if inferred >= 1 and inferred * inferred == values.shape[1]:
-            if b != inferred:
-                log.fixed(
-                    "", "inferred-block-size", f"{b} -> {inferred}"
-                )
-            b = inferred
-        elif b < 1:
-            log.fixed("", "reset-block-size", f"{b} -> 1")
-            b = 1
-    indices = np.asarray(encoded.array("indices")).ravel()
-    n_blocks = min(
-        indices.size, values.shape[0] if values.ndim == 2 else 0
-    )
-    evidence = _evidence(encoded)
-    values = _resize2d(values, (n_blocks, b * b), log, "values", evidence)
-    indices = _resize1d(indices, n_blocks, log, "indices")
-    indices = _clip_indices(
-        indices, 0, encoded.n_cols - 1, log, "indices"
-    )
-    misaligned = indices % b != 0
-    if misaligned.any():
-        indices = indices - indices % b
-        log.fixed(
-            "indices",
-            "re-block-aligned",
-            f"{int(misaligned.sum())} block columns",
-        )
-    block_rows = -(-encoded.n_rows // b)
-    offsets = np.asarray(encoded.array("offsets")).ravel()
-    offsets = _resize1d(offsets, block_rows + 1, log, "offsets")
-    fixed = np.clip(offsets, 0, n_blocks)
-    np.maximum.accumulate(fixed, out=fixed)
-    fixed[0] = 0
-    fixed[-1] = n_blocks
-    np.maximum.accumulate(fixed, out=fixed)
-    if not np.array_equal(fixed, offsets):
-        log.fixed("offsets", "re-monotonized")
-    return {
-        "arrays": {
-            "offsets": fixed.astype(np.int64),
-            "indices": indices.astype(np.int64),
-            "values": values.astype(np.float64),
-        },
-        "nnz": int(np.count_nonzero(values)),
-        "meta": {"block_size": b},
-    }
-
-
-def _repair_bitmap(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    total = encoded.n_rows * encoded.n_cols
-    mask_bytes = -(-total // 8)
-    evidence = _evidence(encoded)
-    _guard_alloc(
-        mask_bytes, evidence, format_name=log.format_name, plane="mask"
-    )
-    mask = np.asarray(encoded.array("mask")).ravel().astype(np.uint8)
-    mask = _resize1d(mask, mask_bytes, log, "mask").astype(np.uint8)
-    bits = np.unpackbits(mask)
-    if bits[total:].any():
-        bits[total:] = 0
-        mask = np.packbits(bits)
-        log.fixed("mask", "cleared-tail-bits")
-    popcount = int(bits[:total].sum())
-    values = np.asarray(encoded.array("values")).ravel()
-    values = _resize1d(values, popcount, log, "values")
-    return {
-        "arrays": {
-            "mask": mask,
-            "values": values.astype(np.float64),
-        },
-        "nnz": popcount,
-    }
-
-
-def _repair_sell_planes(
-    encoded: EncodedMatrix, log: _RepairLog, slice_height: int
-) -> tuple[dict, int]:
-    """Shared SELL / SELL-C-sigma slice repair; returns arrays + h."""
-    h = max(1, slice_height)
-    if h != slice_height:
-        log.fixed("", "reset-slice-height", f"{slice_height} -> {h}")
-    n_slices = -(-encoded.n_rows // h)
-    widths = np.asarray(encoded.array("widths")).ravel()
-    widths = _resize1d(widths, n_slices, log, "widths", fill=1)
-    widths = _clip_indices(
-        widths, 1, max(1, encoded.n_cols), log, "widths"
-    )
-    rows_per_slice = np.minimum(
-        h, encoded.n_rows - h * np.arange(n_slices)
-    )
-    slots = int((rows_per_slice * widths).sum())
-    evidence = _evidence(encoded)
-    _guard_alloc(
-        slots * 8, evidence, format_name=log.format_name, plane="values"
-    )
-    values = _resize1d(
-        np.asarray(encoded.array("values")).ravel(), slots, log, "values"
-    )
-    indices = _resize1d(
-        np.asarray(encoded.array("indices")).ravel(),
-        slots,
-        log,
-        "indices",
-    )
-    indices = _clip_indices(
-        indices, 0, encoded.n_cols - 1, log, "indices"
-    )
-    broken = (values == 0.0) & (indices != 0)
-    if broken.any():
-        indices = indices.copy()
-        indices[broken] = 0
-        log.fixed(
-            "indices",
-            "reset-padding-sentinels",
-            f"{int(broken.sum())} slots",
-        )
-    arrays = {
-        "values": values.astype(np.float64),
-        "indices": indices.astype(np.int64),
-        "widths": widths.astype(np.int64),
-    }
-    return arrays, h
-
-
-def _repair_sell(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    arrays, h = _repair_sell_planes(
-        encoded, log, int(encoded.meta.get("slice_height", 1))
-    )
-    return {
-        "arrays": arrays,
-        "nnz": int(np.count_nonzero(arrays["values"])),
-        "meta": {"slice_height": h},
-    }
-
-
-def _repair_sell_c_sigma(
-    encoded: EncodedMatrix, log: _RepairLog
-) -> dict:
-    arrays, h = _repair_sell_planes(
-        encoded, log, int(encoded.meta.get("slice_height", 1))
-    )
-    sigma = int(encoded.meta.get("sigma", h))
-    if sigma < h or sigma % h != 0:
-        fixed_sigma = h * max(1, sigma // h if sigma >= h else 1)
-        log.fixed("", "reset-sigma", f"{sigma} -> {fixed_sigma}")
-        sigma = fixed_sigma
-    arrays["perm"] = _fix_permutation(
-        np.asarray(encoded.array("perm")), encoded.n_rows, log
-    )
-    return {
-        "arrays": arrays,
-        "nnz": int(np.count_nonzero(arrays["values"])),
-        "meta": {"slice_height": h, "sigma": sigma},
-    }
-
-
-def _repair_jds(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    perm = _fix_permutation(
-        np.asarray(encoded.array("perm")), encoded.n_rows, log
-    )
-    lengths = np.asarray(encoded.array("jd_lengths")).ravel()
-    lengths = _clip_indices(
-        lengths, 0, encoded.n_rows, log, "jd_lengths"
-    )
-    monotone = np.minimum.accumulate(lengths) if lengths.size else lengths
-    if not np.array_equal(monotone, lengths):
-        log.fixed("jd_lengths", "re-monotonized", "non-increasing")
-    lengths = monotone
-    total = int(lengths.sum())
-    evidence = _evidence(encoded)
-    _guard_alloc(
-        total * 8, evidence, format_name=log.format_name, plane="values"
-    )
-    values = _resize1d(
-        np.asarray(encoded.array("values")).ravel(), total, log, "values"
-    )
-    indices = _resize1d(
-        np.asarray(encoded.array("indices")).ravel(),
-        total,
-        log,
-        "indices",
-    )
-    indices = _clip_indices(
-        indices, 0, encoded.n_cols - 1, log, "indices"
-    )
-    return {
-        "arrays": {
-            "perm": perm,
-            "jd_lengths": lengths.astype(np.int64),
-            "values": values.astype(np.float64),
-            "indices": indices.astype(np.int64),
-        },
-        "nnz": int(np.count_nonzero(values)),
-        "meta": {"width": int(lengths.size)},
-    }
-
-
-def _repair_dense(encoded: EncodedMatrix, log: _RepairLog) -> dict:
-    values = _resize2d(
-        np.asarray(encoded.array("values")),
-        encoded.shape,
-        log,
-        "values",
-        _evidence(encoded),
-    )
-    return {
-        "arrays": {"values": values.astype(np.float64)},
-        "nnz": int(np.count_nonzero(values)),
-    }
-
-
-_REPAIRERS = {
-    "dense": _repair_dense,
-    "csr": lambda e, log: _repair_compressed_axis(
-        e, e.n_rows, e.n_cols, log
-    ),
-    "csc": lambda e, log: _repair_compressed_axis(
-        e, e.n_cols, e.n_rows, log
-    ),
-    "coo": lambda e, log: _repair_coordinates(e, log, dedup=True),
-    "dok": lambda e, log: _repair_coordinates(e, log, dedup=True),
-    "ell": _repair_ell,
-    "ell+coo": _repair_ell_coo,
-    "lil": _repair_lil,
-    "dia": _repair_dia,
-    "bcsr": _repair_bcsr,
-    "bitmap": _repair_bitmap,
-    "sell": _repair_sell,
-    "sell-c-sigma": _repair_sell_c_sigma,
-    "jds": _repair_jds,
-}
-
-
-def repair_encoding(
-    encoded: EncodedMatrix,
-) -> tuple[EncodedMatrix, RepairReport]:
-    """Best-effort structural repair of a possibly corrupted encoding.
-
-    Returns the (possibly new) encoding together with the
-    :class:`RepairReport` of fixes applied; a clean input comes back
-    untouched with an empty (falsy) report.  Formats without a repair
-    strategy raise :class:`FormatIntegrityError` — corruption in a
-    format we cannot reason about is not silently passed through.
-    """
-    log = _RepairLog(encoded.format_name, "repair")
-    try:
-        repairer = _REPAIRERS[encoded.format_name]
-    except KeyError:
-        raise FormatIntegrityError(
-            "no repair strategy registered for this format",
-            format_name=encoded.format_name,
-            check="repair-unsupported",
-            kind="unrepairable",
-        ) from None
-    try:
-        fixed = repairer(encoded, log)
+        validate_encoding(encoded)
+        return format_for(encoded).decode(encoded)
     except FormatIntegrityError:
         raise
     except Exception as exc:
-        raise _wrap_decode_failure(
-            exc, encoded.format_name, "unrepairable"
+        reason = str(exc) or type(exc).__name__
+        raise FormatIntegrityError(
+            f"decode failed ({type(exc).__name__}): {reason}",
+            format_name=encoded.format_name,
+            check="decode-failure",
+            kind="undecodable",
         ) from exc
-    report = log.report()
-    if not report:
-        return encoded, report
-    meta = dict(encoded.meta)
-    meta.update(fixed.get("meta", {}))
-    repaired = EncodedMatrix(
-        format_name=encoded.format_name,
-        shape=encoded.shape,
-        arrays=fixed["arrays"],
-        nnz=int(fixed["nnz"]),
-        meta=meta,
-    )
-    return repaired, report
+
+
+def decode_framed(data: bytes, *, verify_crc: bool = True) -> SparseMatrix:
+    """Unframe then decode: :func:`unframe` plus :func:`safe_decode`."""
+    return safe_decode(unframe(data, verify_crc=verify_crc))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.engine import FaultPlan, FaultSpec, InjectedFault, SweepRunner
 from repro.engine.faults import _GRAMMAR, FAULT_KINDS
 from repro.formats.corrupt import CORRUPTION_KINDS
-from repro.formats.integrity import DECODE_MODES
 from repro.errors import SweepConfigError, WorkerCrashError
 from repro.workloads import Workload, band_matrix, random_matrix
 
@@ -187,25 +186,20 @@ class TestParse:
 # ----------------------------------------------------------------------
 class TestCorruptFaults:
     def test_parse_full_selector(self):
-        plan = FaultPlan.parse(
-            "corrupt@*:csr:*#ckind=bitflip#ber=0.01#mode=strict"
-        )
+        plan = FaultPlan.parse("corrupt@*:csr:*#ckind=bitflip#ber=0.01")
         (spec,) = plan.specs
         assert spec.kind == "corrupt"
         assert spec.ckind == "bitflip"
         assert spec.ber == 0.01
-        assert spec.mode == "strict"
         corruption = spec.corruption_spec()
         assert corruption.kind == "bitflip"
         assert corruption.ber == 0.01
-        assert corruption.decode_mode == "strict"
 
     def test_corruption_for_matches_and_misses(self):
-        plan = FaultPlan.parse("corrupt@*:csr:*#ckind=tamper#mode=lenient")
+        plan = FaultPlan.parse("corrupt@*:csr:*#ckind=tamper")
         hit = plan.corruption_for(("w", "csr", 8), index=0)
         assert hit is not None
         assert hit.kind == "tamper"
-        assert hit.decode_mode == "lenient"
         assert plan.corruption_for(("w", "coo", 8), index=0) is None
 
     def test_before_cell_is_a_no_op_for_corrupt_specs(self):
@@ -226,6 +220,7 @@ class TestCorruptFaults:
             "corrupt@*:csr:*#ckind=melt",
             "corrupt@*:csr:*#ber=lots",
             "corrupt@*:csr:*#mode=optimistic",
+            "corrupt@*:csr:*#mode=strict",  # decoding is always strict
             "corrupt@*:csr:*#plane=",
         ],
     )
@@ -266,14 +261,16 @@ class TestRunnerIntegration:
 
     def test_strict_corruption_surfaces_as_integrity_failure(self):
         outcome = SweepRunner(
-            faults="corrupt@band-b:csr:*#ckind=truncate#mode=strict"
+            faults="corrupt@band-b:csr:*#ckind=truncate"
         ).run_grid(small_workloads(), ("csr",), (16,))
         failed = outcome.failure("band-b", "csr", 16)
         assert failed.error_type == "FormatIntegrityError"
 
-    def test_lenient_corruption_completes_deterministically(self):
+    def test_undetected_corruption_completes_deterministically(self):
+        # bit flips in the values plane break no structural check, so
+        # strict decoding passes the damaged matrix on to the cell
         runner = SweepRunner(
-            faults="corrupt@*:csr:*#ckind=bitflip#ber=0.01#mode=lenient"
+            faults="corrupt@*:csr:*#ckind=bitflip#plane=values#ber=0.01"
         )
         first = runner.run_grid(small_workloads(), ("csr",), (16,))
         second = runner.run_grid(small_workloads(), ("csr",), (16,))
@@ -294,14 +291,12 @@ class TestOneGrammar:
             ("crash@*:coo:*#times=none", "crash@*:coo:*#times=none"),
             ("delay@every:5#delay=0.25", "delay@every:5#delay=0.25"),
             (
-                "corrupt@*:csr:*#ckind=tamper#plane=payload#ber=0.01"
-                "#mode=lenient",
-                "corrupt@*:csr:*#ckind=tamper#plane=payload#ber=0.01"
-                "#mode=lenient",
+                "corrupt@*:csr:*#ckind=tamper#plane=payload#ber=0.01",
+                "corrupt@*:csr:*#ckind=tamper#plane=payload#ber=0.01",
             ),
             # defaults are left out, the rest in one fixed order
             (
-                "corrupt@*:csr:*#mode=strict#ber=0.5#ckind=bitflip",
+                "corrupt@*:csr:*#ber=0.5#ckind=bitflip",
                 "corrupt@*:csr:*#ber=0.5",
             ),
             ("raise@w:csr:016#times=3", "raise@w:csr:16#times=3"),
@@ -406,7 +401,6 @@ _OPTION_VALUES = {
     "ckind": st.sampled_from(CORRUPTION_KINDS),
     "plane": st.sampled_from(("*", "header", "payload", "indices")),
     "ber": st.floats(0.0, 1.0, exclude_min=True, **_FINITE),
-    "mode": st.sampled_from(DECODE_MODES),
     "midflight": st.booleans(),
 }
 

@@ -167,9 +167,13 @@ class TestQueueJson:
             (lambda s: s.update(encode=1), "'encode'"),
             (lambda s: s.update(chunk_timeout="5"), "'chunk_timeout'"),
             (lambda s: s.update(faults="explode@*"), "fault plan"),
+            (
+                lambda s: s.update(faults="corrupt@*:csr:*#mode=strict"),
+                "fault plan",
+            ),
         ],
         ids=["missing", "unknown", "bool-for-int", "int-for-bool",
-             "str-for-float", "bad-plan"],
+             "str-for-float", "bad-plan", "retired-mode-option"],
     )
     def test_invalid_settings_are_refused(self, tmp_path, edit, message):
         layout = QueueLayout(tmp_path / "queue")

@@ -29,17 +29,16 @@ def framed(encoded):
 
 class TestSpecGrammar:
     def test_parse_full_selector(self):
-        spec = parse_corruption("bitflip@values#ber=0.01#mode=repair")
+        spec = parse_corruption("bitflip@values#ber=0.01")
         assert spec.kind == "bitflip"
         assert spec.plane == "values"
         assert spec.ber == 0.01
-        assert spec.decode_mode == "repair"
 
     def test_parse_round_trips_describe(self):
         for text in (
             "bitflip@payload#ber=0.001",
             "truncate@*#fraction=0.5",
-            "tamper@offsets#mode=lenient",
+            "tamper@offsets",
         ):
             spec = parse_corruption(text)
             assert parse_corruption(spec.describe()) == spec
@@ -51,7 +50,8 @@ class TestSpecGrammar:
             "melt@*",  # unknown kind
             "bitflip@*#ber=2.0",  # ber out of range
             "truncate@*#fraction=0",  # fraction out of range
-            "bitflip@*#mode=hope",  # unknown decode mode
+            "bitflip@*#mode=hope",  # unknown option
+            "bitflip@values#mode=repair",  # decoding is always strict
             "bitflip@*#ber",  # not key=value
             "bitflip@*#color=red",  # unknown key
         ],

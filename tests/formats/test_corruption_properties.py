@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CopernicusError, FormatIntegrityError
+from repro.errors import FormatIntegrityError
 from repro.formats import ALL_FORMATS, get_format
 from repro.formats.corrupt import (
     CORRUPTION_KINDS,
@@ -69,7 +69,7 @@ class TestStrictDecodeNeverCrashes:
             encoded, CorruptionSpec(kind)
         )
         try:
-            decoded, _ = safe_decode(damaged, mode="strict")
+            decoded = safe_decode(damaged)
         except FormatIntegrityError:
             return  # detected — the taxonomy worked
         assert isinstance(decoded, SparseMatrix)
@@ -83,30 +83,8 @@ class TestStrictDecodeNeverCrashes:
             data, CorruptionSpec(kind)
         )
         try:
-            decoded, _ = decode_framed(damaged, mode="strict")
+            decoded = decode_framed(damaged)
         except FormatIntegrityError:
             return
         assert isinstance(decoded, SparseMatrix)
 
-
-@pytest.mark.parametrize("format_name", sorted(ALL_FORMATS))
-class TestRepairModeAlwaysTaxonomized:
-    """Repair mode may still fail — but only inside the taxonomy."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        matrix=sparse_matrices(),
-        seed=st.integers(0, 2**16),
-        kind=st.sampled_from(CORRUPTION_KINDS),
-    )
-    def test_repair_never_escapes(self, format_name, matrix, seed, kind):
-        assume(matrix.nnz > 0)
-        codec = get_format(format_name)
-        damaged = StreamCorruptor(seed=seed).corrupt_encoding(
-            codec.encode(matrix), CorruptionSpec(kind)
-        )
-        try:
-            decoded, _ = safe_decode(damaged, mode="repair")
-        except CopernicusError:
-            return
-        assert isinstance(decoded, SparseMatrix)

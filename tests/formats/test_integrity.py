@@ -5,21 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CopernicusError, FormatError, FormatIntegrityError
-from repro.formats import (
-    ALL_FORMATS,
-    EncodedMatrix,
-    get_format,
-)
+from repro.errors import FormatIntegrityError
+from repro.formats import ALL_FORMATS, EncodedMatrix, get_format
 from repro.formats.integrity import (
-    DECODE_MODES,
     FRAME_MAGIC,
     decode_framed,
     format_for,
     frame,
     frame_layout,
     frame_overhead_bytes,
-    repair_encoding,
     safe_decode,
     unframe,
 )
@@ -40,8 +34,7 @@ class TestFrameRoundTrip:
         encoded = any_format.encode(corpus_matrix)
         data = frame(encoded)
         assert data.startswith(FRAME_MAGIC)
-        restored, report = unframe(data)
-        assert not report
+        restored = unframe(data)
         assert restored.format_name == encoded.format_name
         assert restored.shape == encoded.shape
         assert restored.nnz == encoded.nnz
@@ -53,14 +46,13 @@ class TestFrameRoundTrip:
 
     def test_decode_framed_recovers_matrix(self, any_format, matrix):
         encoded = any_format.encode(matrix)
-        decoded, report = decode_framed(frame(encoded))
-        assert not report
-        assert decoded == any_format.decode(encoded)
+        assert decode_framed(frame(encoded)) == any_format.decode(encoded)
 
     def test_layout_accounts_every_byte(self, matrix):
         encoded = get_format("csr").encode(matrix)
         data = frame(encoded)
         layout = frame_layout(data)
+        assert layout.header_crc_ok
         assert layout.declared_bytes == len(data)
         assert layout.header_bytes + sum(
             span.nbytes for span in layout.planes
@@ -82,7 +74,7 @@ class TestFrameRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Detection in strict mode
+# Detection
 # ----------------------------------------------------------------------
 class TestStrictDetection:
     def test_payload_bitflip_caught_by_crc(self, any_format, matrix):
@@ -97,8 +89,10 @@ class TestStrictDetection:
     def test_header_bitflip_caught(self, matrix):
         data = bytearray(frame(get_format("coo").encode(matrix)))
         data[6] ^= 0x01  # inside the format-name field
-        with pytest.raises(FormatIntegrityError):
+        assert not frame_layout(bytes(data)).header_crc_ok
+        with pytest.raises(FormatIntegrityError) as excinfo:
             unframe(bytes(data))
+        assert excinfo.value.check == "header-crc"
 
     def test_truncation_caught_without_crc(self, matrix):
         data = frame(get_format("csr").encode(matrix))
@@ -115,40 +109,7 @@ class TestStrictDetection:
         with pytest.raises(FormatIntegrityError):
             unframe(b"XXXX not a frame at all")
 
-
-# ----------------------------------------------------------------------
-# Repair / lenient modes
-# ----------------------------------------------------------------------
-class TestRepairMode:
-    def test_truncated_frame_repairs(self, matrix):
-        encoded = get_format("csr").encode(matrix)
-        data = frame(encoded)
-        restored, report = unframe(data[:-5], mode="repair")
-        assert report  # actions were taken
-        assert restored.format_name == "csr"
-        # the repaired stream decodes without escaping the taxonomy
-        try:
-            safe_decode(restored, mode="repair")
-        except CopernicusError:
-            pass
-
-    def test_lenient_equals_strict_on_clean_input(
-        self, any_format, matrix
-    ):
-        encoded = any_format.encode(matrix)
-        data = frame(encoded)
-        strict, _ = decode_framed(data, mode="strict")
-        lenient, report = decode_framed(data, mode="lenient")
-        assert not report
-        assert strict == lenient
-
-    def test_repair_clean_input_is_identity(self, any_format, matrix):
-        encoded = any_format.encode(matrix)
-        repaired, report = repair_encoding(encoded)
-        assert not report.actions
-        assert repaired is encoded
-
-    def test_repair_fixes_out_of_bounds_index(self, matrix):
+    def test_out_of_bounds_index_refused(self, matrix):
         encoded = get_format("coo").encode(matrix)
         cols = encoded.array("cols").copy()
         cols[0] = 9999
@@ -158,13 +119,10 @@ class TestRepairMode:
             arrays={**dict(encoded.arrays), "cols": cols},
             nnz=encoded.nnz,
         )
-        repaired, report = repair_encoding(damaged)
-        assert report.actions
-        from repro.formats.validate import validate_encoding
+        with pytest.raises(FormatIntegrityError):
+            safe_decode(damaged)
 
-        validate_encoding(repaired)
-
-    def test_unknown_format_is_unrepairable(self, matrix):
+    def test_unknown_format_is_undecodable(self, matrix):
         encoded = get_format("coo").encode(matrix)
         alien = EncodedMatrix(
             format_name="alien",
@@ -173,14 +131,8 @@ class TestRepairMode:
             nnz=encoded.nnz,
         )
         with pytest.raises(FormatIntegrityError) as excinfo:
-            repair_encoding(alien)
-        assert excinfo.value.kind == "unrepairable"
-
-    def test_unknown_mode_rejected(self, matrix):
-        encoded = get_format("coo").encode(matrix)
-        with pytest.raises(FormatError):
-            safe_decode(encoded, mode="optimistic")
-        assert "optimistic" not in DECODE_MODES
+            safe_decode(alien)
+        assert excinfo.value.kind == "undecodable"
 
 
 # ----------------------------------------------------------------------
@@ -204,26 +156,5 @@ class TestFormatFor:
         matrix = band_matrix(20, 6, seed=2)
         codec = get_format("sell-c-sigma", slice_height=2, sigma=4)
         encoded = codec.encode(matrix)
-        decoded, report = decode_framed(frame(encoded))
-        assert not report
-        assert decoded == matrix
+        assert decode_framed(frame(encoded)) == matrix
 
-
-# ----------------------------------------------------------------------
-# Allocation guard
-# ----------------------------------------------------------------------
-class TestAllocationGuard:
-    def test_implausible_plane_size_rejected(self, matrix):
-        encoded = get_format("dense").encode(matrix)
-        layout = frame_layout(frame(encoded))
-        span = layout.planes[0]
-        from repro.formats.integrity import _guard_alloc
-
-        with pytest.raises(FormatIntegrityError) as excinfo:
-            _guard_alloc(
-                10**12,
-                span.nbytes,
-                format_name="dense",
-                plane=span.name,
-            )
-        assert excinfo.value.kind == "implausible"

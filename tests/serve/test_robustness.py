@@ -31,7 +31,7 @@ from tests.serve.helpers import (
 # targeted faults: csr cells die, every other format stays healthy
 CRASH_CSR = "crash@*:csr:*#times=none"
 CORRUPT_CSR = (
-    "corrupt@*:csr:*#ckind=bitflip#ber=0.01#mode=strict#times=none"
+    "corrupt@*:csr:*#ckind=bitflip#ber=0.01#times=none"
 )
 
 

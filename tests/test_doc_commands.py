@@ -2,7 +2,8 @@
 
 A renamed flag or subcommand would leave README recipes, EXPERIMENTS
 reproductions and CI steps that fail on first use.  These checks are
-pure: each command goes through ``build_parser()`` and nothing runs.
+pure: each command goes through ``build_parser()`` and nothing runs;
+a quoted ``--inject-faults`` value also goes through the fault grammar.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import shlex
 import pytest
 
 from repro.cli import build_parser
+from repro.engine.faults import FaultPlan
+from repro.errors import SweepConfigError
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DOCS = (
@@ -90,3 +93,17 @@ def test_doc_command_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit as done:  # --help exits 0; a parse error exits 2
         assert done.code == 0, argv
+
+
+def test_doc_fault_plans_parse():
+    plans = [
+        (where, build_parser().parse_args(argv).inject_faults)
+        for where, argv in _COMMANDS
+        if "--inject-faults" in argv
+    ]
+    assert plans
+    for where, text in plans:
+        try:
+            FaultPlan.parse(text)
+        except SweepConfigError as error:
+            pytest.fail(f"{where}: {error}")
